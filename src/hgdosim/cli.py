@@ -15,6 +15,7 @@ import sys
 from pathlib import Path
 
 from .config import ConfigError, load_scenario
+from .disturbances import NonDifferentiable
 from .emit import PLOT_KINDS, EmitError, emit_csv, emit_json, emit_svg, read_csv
 from .metrics import (
     StochasticDisturbance,
@@ -23,6 +24,7 @@ from .metrics import (
     compare,
     gain_condition,
     metrics_report,
+    signal_deltas,
     sweep,
 )
 from .sim import Diverged, run_scenario
@@ -135,15 +137,16 @@ def cmd_compare(args) -> int:
 def cmd_check_bounds(args) -> int:
     cfg = _load(args.config, args.seed)
     try:
-        condition = gain_condition(cfg)
+        deltas = signal_deltas(cfg)
+        condition = gain_condition(cfg, deltas=deltas)
         if not all(condition["ok"]):
             bad = [ch for ch, ok in zip(condition["channels"], condition["ok"])
                    if not ok]
             print(f"warning: switching gain below threshold on {', '.join(bad)}",
                   file=sys.stderr)
         trace = run_scenario(cfg)
-        results = bound_check(trace)
-    except StochasticDisturbance as exc:
+        results = bound_check(trace, deltas=deltas)
+    except (StochasticDisturbance, NonDifferentiable) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return _EXIT_CONFIG
     failed = False

@@ -16,8 +16,6 @@ import numpy as np
 
 FT_PER_M = 3.281
 
-_trapezoid = getattr(np, "trapezoid", None) or np.trapz
-
 
 class NonDifferentiable(ValueError):
     """Raised when a derivative integral is requested for a signal without one."""
@@ -336,4 +334,4 @@ def derivative_l1(signal: Signal, t0: float, t1: float, dt: float = 1e-4) -> flo
     ts = np.linspace(t0, t1, n + 1)
     h = (t1 - t0) / n
     deriv = (signal.value(ts + h) - signal.value(ts - h)) / (2.0 * h)
-    return float(_trapezoid(np.abs(deriv), ts))
+    return float(np.trapezoid(np.abs(deriv), ts))

@@ -7,9 +7,9 @@ polyline panels (axes, ticks, legend) without any plotting runtime.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
+import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 from xml.sax.saxutils import escape
@@ -24,36 +24,49 @@ class EmitError(RuntimeError):
 
 
 def emit_csv(trace: SimTrace, path) -> None:
-    """Write the trace with the fixed documented header, RFC-4180 quoting."""
+    """Write the fixed header, then one CRLF-terminated line per row.
+
+    Cells are `repr` of the float (shortest round trip); no cell needs
+    quoting. Rows are formatted and written one at a time, so memory stays
+    bounded by one line whatever the trace length.
+    """
     path = Path(path)
     try:
         with path.open("w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(trace.columns)
+            fh.write(",".join(trace.columns) + "\r\n")
             for row in trace.data:
-                writer.writerow([repr(float(v)) for v in row])
+                fh.write(",".join(map(repr, row.tolist())) + "\r\n")
     except OSError as exc:
         raise EmitError(f"{path}: {exc}") from exc
 
 
 def read_csv(path) -> SimTrace:
-    """Parse a trace written by emit_csv back into a SimTrace (no config)."""
+    """Parse a trace written by emit_csv back into a SimTrace (no config).
+
+    Lines may end in CRLF or LF. Cells go through the same string-to-double
+    conversion as float(), so the round trip is bit-identical.
+    """
     path = Path(path)
     try:
-        with path.open(newline="") as fh:
-            reader = csv.reader(fh)
-            try:
-                header = next(reader)
-            except StopIteration:
-                raise EmitError(f"{path}: empty file") from None
-            if header != list(TRACE_COLUMNS):
+        with path.open() as fh:
+            header = fh.readline()
+            if not header:
+                raise EmitError(f"{path}: empty file")
+            if header.rstrip("\n").split(",") != list(TRACE_COLUMNS):
                 raise EmitError(f"{path}: unexpected trace header")
-            rows = [[float(v) for v in row] for row in reader if row]
+            with warnings.catch_warnings():
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data",
+                                        UserWarning)
+                data = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
     except OSError as exc:
         raise EmitError(f"{path}: {exc}") from exc
     except ValueError as exc:
         raise EmitError(f"{path}: bad cell: {exc}") from exc
-    data = np.array(rows, dtype=float).reshape(len(rows), len(TRACE_COLUMNS))
+    if data.size == 0:
+        data = data.reshape(0, len(TRACE_COLUMNS))
+    elif data.shape[1] != len(TRACE_COLUMNS):
+        raise EmitError(f"{path}: bad cell count: {data.shape[1]} per row, "
+                        f"want {len(TRACE_COLUMNS)}")
     return SimTrace(data, {"source": str(path)})
 
 
@@ -165,7 +178,8 @@ def _panel_svg(panel: Panel, width: float, height: float, y0: float,
     for i, (sxs, sys_, s) in enumerate(zip(x_all, y_all, panel.series)):
         color = _PALETTE[i % len(_PALETTE)]
         dash = ' stroke-dasharray="6 4"' if s.dash else ""
-        pts = " ".join(f"{sx(a):.2f},{sy(b):.2f}" for a, b in zip(sxs, sys_))
+        pts = " ".join(f"{a:.2f},{b:.2f}"
+                       for a, b in zip(sx(sxs).tolist(), sy(sys_).tolist()))
         out.append(f'<polyline points="{pts}" fill="none" stroke="{color}" '
                    f'stroke-width="1.4"{dash}/>')
         ly = py0 + 14 + 15 * i

@@ -15,7 +15,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .control import DEFAULT_GAINS, gain_check
-from .disturbances import derivative_l1
+from .disturbances import NonDifferentiable, derivative_l1
 from .sim import ScenarioConfig, SimTrace, run_scenario
 
 TRACK_CHANNELS = ("x", "y", "z", "phi", "theta", "psi")
@@ -160,13 +160,16 @@ def bound_check(trace: SimTrace, epsilon: float | None = None,
     return out
 
 
-def gain_condition(cfg: ScenarioConfig, trace: SimTrace | None = None) -> dict:
+def gain_condition(cfg: ScenarioConfig, trace: SimTrace | None = None,
+                   deltas: Sequence[float] | None = None) -> dict:
     """Switching-gain condition report against the derivative-L1 deltas.
 
     Returns per-channel pass flags and thresholds; intended as a pre-run
-    warning, so violations never raise.
+    warning, so violations never raise. deltas default to the derivative-L1
+    oracle applied to the configured signals.
     """
-    deltas = signal_deltas(cfg)
+    if deltas is None:
+        deltas = signal_deltas(cfg)
     if trace is not None and len(trace):
         d0 = np.abs(estimation_errors(trace)[0])
     else:
@@ -204,21 +207,25 @@ def metrics_report(trace: SimTrace, skip: float = 0.0) -> dict:
             "steps": max(len(trace) - 1, 0),
         },
     }
-    try:
-        results = bound_check(trace)
-        report["bound_check"] = [
-            {"channel": r.channel, "lhs": r.lhs, "rhs": r.rhs, "passed": r.passed}
-            for r in results
-        ]
-    except (StochasticDisturbance, ValueError):
-        report["bound_check"] = None
+    # One derivative-L1 evaluation feeds both checks; signals without a
+    # pathwise derivative (stochastic, noisy or position-dependent) get neither.
+    deltas = None
     if trace.config is not None:
         try:
-            report["gain_condition"] = gain_condition(trace.config, trace)
-        except StochasticDisturbance:
-            report["gain_condition"] = None
-    else:
-        report["gain_condition"] = None
+            deltas = signal_deltas(trace.config)
+        except (StochasticDisturbance, NonDifferentiable):
+            pass
+    report["bound_check"] = None
+    report["gain_condition"] = None
+    if deltas is not None:
+        try:
+            report["bound_check"] = [
+                {"channel": r.channel, "lhs": r.lhs, "rhs": r.rhs, "passed": r.passed}
+                for r in bound_check(trace, deltas=deltas)
+            ]
+        except EmptyTrace:
+            pass
+        report["gain_condition"] = gain_condition(trace.config, trace, deltas)
     return report
 
 

@@ -2,11 +2,14 @@
 
 import json
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import pytest
 
 from hgdosim.cli import main
 from hgdosim.config import validate_metrics
+
+GROUND_EFFECT = Path(__file__).resolve().parent.parent / "scenarios" / "ground_effect.json"
 
 
 def write_cfg(tmp_path, name="s.json", **extra):
@@ -152,6 +155,32 @@ class TestCheckBounds:
         assert "switching gain" in capsys.readouterr().err
 
 
+class TestPositionDependentDisturbance:
+    """The shipped ground-effect scenario has no pathwise derivative, so its
+    reports carry no bound or gain check; no subcommand may crash on it."""
+
+    def test_simulate_reports_null_checks(self, tmp_path):
+        out = tmp_path / "o"
+        assert main(["simulate", str(GROUND_EFFECT), "--out", str(out)]) == 0
+        report = json.loads((out / "metrics.json").read_text())
+        validate_metrics(report)
+        assert report["bound_check"] is None
+        assert report["gain_condition"] is None
+
+    def test_check_bounds_is_config_error(self, capsys):
+        assert main(["check-bounds", str(GROUND_EFFECT)]) == 3
+        assert "GroundEffect" in capsys.readouterr().err
+
+    def test_compare(self, tmp_path):
+        out = tmp_path / "o"
+        assert main(["compare", str(GROUND_EFFECT), str(GROUND_EFFECT),
+                     "--out", str(out)]) == 0
+        report = json.loads((out / "compare.json").read_text())
+        validate_metrics(report)
+        assert report["a"]["gain_condition"] is None
+        assert report["b"]["bound_check"] is None
+
+
 class TestPlot:
     def make_trace(self, tmp_path):
         cfg = write_cfg(tmp_path)
@@ -174,6 +203,13 @@ class TestPlot:
 
     def test_missing_trace(self, tmp_path, capsys):
         assert main(["plot", str(tmp_path / "no.csv")]) == 1
+        assert "emit error" in capsys.readouterr().err
+
+    def test_truncated_trace(self, tmp_path, capsys):
+        trace = self.make_trace(tmp_path)
+        text = trace.read_bytes()
+        trace.write_bytes(text[:text.rindex(b",")])   # writer killed mid-row
+        assert main(["plot", str(trace), "--kind", "xy"]) == 1
         assert "emit error" in capsys.readouterr().err
 
     def test_unknown_kind_is_usage_error(self, tmp_path):

@@ -1,5 +1,6 @@
 """Emitter tests: CSV round trips, JSON reports, SVG rendering."""
 
+import csv
 import json
 import xml.etree.ElementTree as ET
 
@@ -34,13 +35,45 @@ def short_trace():
     return run_scenario(cfg)
 
 
+def csv_module_writer(trace, path):
+    """Reference writer: the csv module with repr(float) cells."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(trace.columns)
+        for row in trace.data:
+            writer.writerow([repr(float(v)) for v in row])
+
+
+@pytest.fixture
+def edge_trace(short_trace):
+    data = short_trace.data[:5].copy()
+    data[1, :6] = [np.nan, np.inf, -np.inf, -0.0, 5e-324, 1e300]
+    data[3, 10:13] = [-5e-324, -1e300, 0.1 + 0.2]
+    return SimTrace(data, {})
+
+
 class TestCsv:
-    def test_round_trip_bit_exact(self, short_trace, tmp_path):
-        path = tmp_path / "trace.csv"
-        emit_csv(short_trace, path)
-        back = read_csv(path)
-        assert back.columns == list(TRACE_COLUMNS)
-        assert np.array_equal(back.data, short_trace.data)
+    def test_round_trip_bit_exact(self, short_trace, edge_trace, tmp_path):
+        for trace in (short_trace, edge_trace):
+            path = tmp_path / "trace.csv"
+            emit_csv(trace, path)
+            back = read_csv(path)
+            assert back.columns == list(TRACE_COLUMNS)
+            assert back.data.tobytes() == trace.data.tobytes()
+
+    def test_bytes_match_csv_module_writer(self, short_trace, edge_trace, tmp_path):
+        for trace in (short_trace, edge_trace):
+            ours, ref = tmp_path / "ours.csv", tmp_path / "ref.csv"
+            emit_csv(trace, ours)
+            csv_module_writer(trace, ref)
+            assert ours.read_bytes() == ref.read_bytes()
+
+    def test_lf_and_crlf_files_read_the_same(self, edge_trace, tmp_path):
+        crlf, lf = tmp_path / "crlf.csv", tmp_path / "lf.csv"
+        emit_csv(edge_trace, crlf)
+        assert crlf.read_bytes().count(b"\r\n") == len(edge_trace) + 1
+        lf.write_bytes(crlf.read_bytes().replace(b"\r\n", b"\n"))
+        assert read_csv(lf).data.tobytes() == read_csv(crlf).data.tobytes()
 
     def test_header_only_when_empty(self, tmp_path):
         path = tmp_path / "empty.csv"
@@ -48,7 +81,7 @@ class TestCsv:
         lines = path.read_text().splitlines()
         assert len(lines) == 1
         assert lines[0].split(",") == list(TRACE_COLUMNS)
-        assert len(read_csv(path)) == 0
+        assert read_csv(path).data.shape == (0, len(TRACE_COLUMNS))
 
     def test_cells_are_shortest_round_trip(self, short_trace, tmp_path):
         path = tmp_path / "trace.csv"
@@ -68,6 +101,21 @@ class TestCsv:
         path = tmp_path / "bad.csv"
         path.write_text(",".join(TRACE_COLUMNS) + "\n" +
                         ",".join(["nope"] * len(TRACE_COLUMNS)) + "\n")
+        with pytest.raises(EmitError, match="bad cell"):
+            read_csv(path)
+
+    def test_truncated_row_rejected(self, short_trace, tmp_path):
+        path = tmp_path / "cut.csv"
+        emit_csv(short_trace, path)
+        text = path.read_bytes()
+        path.write_bytes(text[:text.rindex(b",", 0, len(text) // 2)])
+        with pytest.raises(EmitError, match="bad cell"):
+            read_csv(path)
+
+    def test_short_rows_rejected(self, tmp_path):
+        path = tmp_path / "short.csv"
+        path.write_text(",".join(TRACE_COLUMNS) + "\n" +
+                        ",".join(["1.0"] * (len(TRACE_COLUMNS) - 1)) + "\n")
         with pytest.raises(EmitError, match="bad cell"):
             read_csv(path)
 

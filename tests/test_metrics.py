@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+from hgdosim import metrics
 from hgdosim.disturbances import CompositeSinusoid, Constant, DrydenGust
 from hgdosim.metrics import (
     BoundResult,
@@ -196,6 +197,23 @@ class TestMetricsReport:
         assert report["bound_check"] is not None
         parsed = json.loads(json.dumps(report))
         assert parsed["rms_tracking"]["x"] == report["rms_tracking"]["x"]
+
+    def test_deltas_computed_once_for_both_checks(self, monkeypatch):
+        cfg = hold_cfg(force_signals=(CompositeSinusoid(), None, None))
+        trace = run_scenario(cfg)
+        expected_bound = bound_check(trace)
+        expected_gain = gain_condition(cfg, trace)
+        calls = []
+
+        def counting(c):
+            calls.append(c)
+            return signal_deltas(c)
+
+        monkeypatch.setattr(metrics, "signal_deltas", counting)
+        report = metrics_report(trace)
+        assert calls == [cfg]
+        assert report["bound_check"] == [r._asdict() for r in expected_bound]
+        assert report["gain_condition"] == expected_gain
 
     def test_noisy_run_omits_bound(self):
         cfg = hold_cfg(noise_power=0.001, outer_divisor=5, seed=2)

@@ -207,8 +207,7 @@ class TestTracking:
     def test_l1_error_bound(self, composite_runs):
         delta = derivative_l1(CompositeSinusoid(), 0.0, 6.0)
         for eps, (ts, dtilde) in composite_runs.items():
-            lhs = np.trapezoid(np.abs(dtilde), ts) if hasattr(np, "trapezoid") \
-                else np.trapz(np.abs(dtilde), ts)
+            lhs = np.trapezoid(np.abs(dtilde), ts)
             rhs = eps * abs(dtilde[0]) + eps * delta + 1e-3
             assert lhs <= rhs, f"eps={eps}: {lhs:.5f} > {rhs:.5f}"
 

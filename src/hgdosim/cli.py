@@ -18,6 +18,7 @@ from .config import ConfigError, load_scenario
 from .disturbances import NonDifferentiable
 from .emit import PLOT_KINDS, EmitError, emit_csv, emit_json, emit_svg, read_csv
 from .metrics import (
+    RealizationMismatch,
     StochasticDisturbance,
     TRACK_CHANNELS,
     bound_check,
@@ -105,11 +106,16 @@ def cmd_sweep(args) -> int:
         raise ConfigError(f"--eps must be a comma list of numbers, got {args.eps!r}")
     if not epsilons or any(e <= 0.0 for e in epsilons):
         raise ConfigError("--eps needs at least one positive value")
-    report = sweep(cfg, epsilons, include_smc_only=args.smc_only, skip=args.skip)
+    try:
+        report = sweep(cfg, epsilons, include_smc_only=args.smc_only, skip=args.skip)
+    except RealizationMismatch as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return _EXIT_CONFIG
     out = _outdir(args)
     emit_json(report, out / "sweep.json")
     labels = [v["label"] for v in report["variants"]]
-    width = max(len(lb) for lb in labels) + 2
+    # a cell is up to 11 characters wide ("-1.2345e-01"), two more separate them
+    width = max(11, *(len(lb) for lb in labels)) + 2
     print("rms".ljust(8) + "".join(lb.rjust(width) for lb in labels))
     for ch in TRACK_CHANNELS:
         row = report["table"][ch]

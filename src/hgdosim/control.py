@@ -46,6 +46,11 @@ class SmcGains:
     u1_max: float | None = None   # thrust ceiling [N]; None = twice hover weight
     tau_max: np.ndarray | None = None  # torque ceiling [N m]; None = from omega_max
 
+    def __post_init__(self):
+        # float arrays, so the control loops can read them with tolist()
+        for name in ("lam1", "lam2", "k1", "k2", "l1", "l2"):
+            setattr(self, name, np.asarray(getattr(self, name), dtype=float))
+
     def thrust_cap(self, p: VehicleParams) -> float:
         return 2.0 * p.m * p.g if self.u1_max is None else float(self.u1_max)
 
@@ -64,12 +69,13 @@ DEFAULT_GAINS = SmcGains()
 @dataclass
 class AttitudeSetpoint:
     """Inner-loop reference: angles (phi_d, theta_d, psi_d), thrust, and the
-    filtered angle-rate/acceleration estimates the inner loop feeds forward."""
+    filtered angle-rate/acceleration estimates the inner loop feeds forward.
+    The three vectors are float tuples."""
 
-    angles: np.ndarray
+    angles: tuple
     thrust: float
-    rates: np.ndarray = field(default_factory=lambda: np.zeros(3))
-    accels: np.ndarray = field(default_factory=lambda: np.zeros(3))
+    rates: tuple = (0.0, 0.0, 0.0)
+    accels: tuple = (0.0, 0.0, 0.0)
 
 
 def sat(s, mu: float):
@@ -83,42 +89,63 @@ def sliding_surface(e, e_dot, lam) -> np.ndarray:
     return np.asarray(e_dot, dtype=float) + np.asarray(lam, dtype=float) * np.asarray(e, dtype=float)
 
 
+def _switching_law(e, e_dot, ff, lam, k, l, mu):
+    """One channel of both loops: ff + lam*e_dot + k*sat(s/mu) + l*s, with
+    the surface s = e_dot + lam*e. ff is the feedforward net of the
+    disturbance estimate. The traces depend on every bit of this operation
+    order."""
+    s = e_dot + lam * e
+    sw = s / mu
+    if sw > 1.0:
+        sw = 1.0
+    elif sw < -1.0:
+        sw = -1.0
+    return ff + lam * e_dot + k * sw + l * s
+
+
 def outer_loop(pos, vel, pos_d, vel_d, acc_d, d1_hat, gains: SmcGains,
                p: VehicleParams):
     """Virtual acceleration command from position tracking error.
 
     Componentwise clamp at u1_max/(m*sqrt(3)) guarantees the extracted thrust
     m*||u|| never exceeds u1_max, whatever the direction (peaking guard).
-    Returns (u1vec, clamped). Scalar arithmetic throughout: this runs once
-    per control tick and array temporaries dominate its cost otherwise.
+    Takes any 3-sequences and returns (u1vec, clamped) with u1vec a tuple of
+    floats. Plain float arithmetic, one call per axis: this runs once per
+    control tick and array temporaries would dominate its cost.
     """
     mu = gains.mu
     if mu <= 0.0:
         raise ValueError("boundary layer mu must be positive")
-    lam, k, l = gains.lam1, gains.k1, gains.l1
     cap = gains.thrust_cap(p) / (p.m * math.sqrt(3.0))
-    gvec = (0.0, 0.0, p.g)
-    u = np.empty(3)
+    lx, ly, lz = gains.lam1.tolist()
+    kx, ky, kz = gains.k1.tolist()
+    mx, my, mz = gains.l1.tolist()
+    x, y, z = pos
+    vx, vy, vz = vel
+    rx, ry, rz = pos_d
+    rvx, rvy, rvz = vel_d
+    ax, ay, az = acc_d
+    dx, dy, dz = d1_hat
+    # x and y add g_i = 0.0 too: that maps a -0.0 command to +0.0, and the
+    # trace keeps the sign of zero
+    u = []
     clamped = False
-    for i in range(3):
-        e = float(pos_d[i]) - float(pos[i])
-        e_dot = float(vel_d[i]) - float(vel[i])
-        s = e_dot + float(lam[i]) * e
-        sw = s / mu
-        if sw > 1.0:
-            sw = 1.0
-        elif sw < -1.0:
-            sw = -1.0
-        ui = (float(acc_d[i]) + gvec[i] - float(d1_hat[i])
-              + float(lam[i]) * e_dot + float(k[i]) * sw + float(l[i]) * s)
+    for ui in (
+        _switching_law(float(rx) - float(x), float(rvx) - float(vx),
+                       float(ax) + 0.0 - float(dx), lx, kx, mx, mu),
+        _switching_law(float(ry) - float(y), float(rvy) - float(vy),
+                       float(ay) + 0.0 - float(dy), ly, ky, my, mu),
+        _switching_law(float(rz) - float(z), float(rvz) - float(vz),
+                       float(az) + p.g - float(dz), lz, kz, mz, mu),
+    ):
         if ui > cap:
             ui = cap
             clamped = True
         elif ui < -cap:
             ui = -cap
             clamped = True
-        u[i] = ui
-    return u, clamped
+        u.append(ui)
+    return tuple(u), clamped
 
 
 def extract_attitude(u1vec, psi_d: float, gains: SmcGains, p: VehicleParams) -> AttitudeSetpoint:
@@ -130,44 +157,48 @@ def extract_attitude(u1vec, psi_d: float, gains: SmcGains, p: VehicleParams) -> 
 
     Exact inverse of the thrust-direction map for uz > 0; raises
     ThrustSingularity when uz < uz_min (the engine clamps and flags instead).
+    Takes any 3-sequence; the setpoint's angles are a float tuple.
     """
     ux, uy, uz = (float(v) for v in u1vec)
     if uz < gains.uz_min:
         raise ThrustSingularity(f"uz={uz:.3f} below floor {gains.uz_min}")
+    psi_d = float(psi_d)
     cps, sps = math.cos(psi_d), math.sin(psi_d)
     theta_d = math.atan((ux * cps + uy * sps) / uz)
     phi_d = math.atan(math.cos(theta_d) * (ux * sps - uy * cps) / uz)
     thrust = p.m * uz / (math.cos(phi_d) * math.cos(theta_d))
-    return AttitudeSetpoint(np.array([phi_d, theta_d, psi_d]), thrust)
+    return AttitudeSetpoint((phi_d, theta_d, psi_d), thrust)
 
 
-def inner_loop(att, rate, sp: AttitudeSetpoint, d2_hat, f2val, gains: SmcGains) -> np.ndarray:
+def inner_loop(att, rate, sp: AttitudeSetpoint, d2_hat, f2val, gains: SmcGains) -> tuple:
     """Angular acceleration command tracking the attitude setpoint.
 
     Yaw error is wrapped to (-pi, pi] so the loop never unwinds through a
-    full turn. Returns u2vec; the engine maps it to torques and clamps.
-    Scalarized for the same reason as outer_loop (runs every base step).
+    full turn. Takes any 3-sequences and returns u2vec as a tuple of floats;
+    the engine maps it to torques and clamps. Plain float arithmetic for the
+    same reason as outer_loop (runs every base step).
     """
     mu = gains.mu
     if mu <= 0.0:
         raise ValueError("boundary layer mu must be positive")
-    lam, k, l = gains.lam2, gains.k2, gains.l2
-    angles, rates_d, accels_d = sp.angles, sp.rates, sp.accels
-    u = np.empty(3)
-    for i in range(3):
-        e = float(angles[i]) - float(att[i])
-        if i == 2:
-            e = wrap_angle(e)
-        e_dot = float(rates_d[i]) - float(rate[i])
-        s = e_dot + float(lam[i]) * e
-        sw = s / mu
-        if sw > 1.0:
-            sw = 1.0
-        elif sw < -1.0:
-            sw = -1.0
-        u[i] = (float(accels_d[i]) - float(f2val[i]) - float(d2_hat[i])
-                + float(lam[i]) * e_dot + float(k[i]) * sw + float(l[i]) * s)
-    return u
+    lx, ly, lz = gains.lam2.tolist()
+    kx, ky, kz = gains.k2.tolist()
+    mx, my, mz = gains.l2.tolist()
+    a0, a1, a2 = att
+    w0, w1, w2 = rate
+    r0, r1, r2 = sp.angles
+    rr0, rr1, rr2 = sp.rates
+    c0, c1, c2 = sp.accels
+    f0, f1, f2 = f2val
+    d0, d1, d2 = d2_hat
+    return (
+        _switching_law(float(r0) - float(a0), float(rr0) - float(w0),
+                       float(c0) - float(f0) - float(d0), lx, kx, mx, mu),
+        _switching_law(float(r1) - float(a1), float(rr1) - float(w1),
+                       float(c1) - float(f1) - float(d1), ly, ky, my, mu),
+        _switching_law(wrap_angle(float(r2) - float(a2)), float(rr2) - float(w2),
+                       float(c2) - float(f2) - float(d2), lz, kz, mz, mu),
+    )
 
 
 def gain_check(gains: SmcGains, eps1: float, eps2: float, d_tilde0, delta):

@@ -15,11 +15,12 @@ noise accordingly.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .integrate import rk4_step
+from .integrate import NonFinite, rk4_step
 
 
 class NonPositiveEpsilon(ValueError):
@@ -90,7 +91,7 @@ def hgdo_step_rot(st: HgdoState, x4, f2val, u2vec, dt: float) -> HgdoState:
     return HgdoState(gamma, st.epsilon, st.loop)
 
 
-def naive_hgdo_step(d_hat, x_dot, model_term, epsilon: float, dt: float) -> np.ndarray:
+def naive_hgdo_step(d_hat, x_dot, model_term, epsilon: float, dt: float) -> tuple:
     """Derivative-based observer step: d_hat' = (x_dot + model_term - d_hat)/eps.
 
     model_term is (0,0,g) - u1vec for the translational loop and
@@ -98,38 +99,61 @@ def naive_hgdo_step(d_hat, x_dot, model_term, epsilon: float, dt: float) -> np.n
     velocity-level state derivative; when that estimate comes from finite
     differences of a noisy measurement, the noise passes straight into the
     filter (which is the point of keeping this variant around).
+
+    Takes three equal-length sequences and returns a tuple of floats. Each
+    component takes one classical RK4 step on Python floats, with the
+    operation order of integrate.rk4_step, so the result is bit-identical to
+    rk4_step on the same arrays; raises NonFinite on the same condition.
     """
     epsilon = _check_epsilon(epsilon)
-    forcing = np.asarray(x_dot, dtype=float) + np.asarray(model_term, dtype=float)
-    return rk4_step(lambda _t, dh: (forcing - dh) / epsilon, 0.0,
-                    np.asarray(d_hat, dtype=float), dt)
+    hdt = 0.5 * dt
+    w = dt / 6.0
+    out = []
+    for y, xd, mt in zip(d_hat, x_dot, model_term):
+        y = float(y)
+        forcing = float(xd) + float(mt)
+        k1 = (forcing - y) / epsilon
+        k2 = (forcing - (y + hdt * k1)) / epsilon
+        k3 = (forcing - (y + hdt * k2)) / epsilon
+        k4 = (forcing - (y + dt * k3)) / epsilon
+        y = y + w * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        if not math.isfinite(y):
+            raise NonFinite("non-finite state after step at t=0.0")
+        out.append(y)
+    return tuple(out)
 
 
 class DerivativeFilter:
     """Finite-difference derivative smoothed by a first-order low-pass.
 
     The first call returns zero (no history yet). tau is the filter time
-    constant; the engine uses 5x its measurement interval.
+    constant; the engine uses 5x its measurement interval. step takes a
+    sequence of `size` numbers and returns a tuple of floats; the state is
+    kept as tuples.
     """
 
     def __init__(self, tau: float, size: int = 3):
         if tau <= 0.0:
             raise ValueError("tau must be positive")
         self.tau = float(tau)
+        self._zero = (0.0,) * size
         self._prev = None
-        self._est = np.zeros(size)
+        self._est = self._zero
 
     def reset(self):
         self._prev = None
-        self._est = np.zeros_like(self._est)
+        self._est = self._zero
 
-    def step(self, x, dt: float) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        if self._prev is None:
-            raw = np.zeros_like(self._est)
-        else:
-            raw = (x - self._prev) / dt
-        self._prev = x.copy()
+    def step(self, x, dt: float) -> tuple:
+        x = tuple(map(float, x))
+        prev = self._prev
+        self._prev = x
         alpha = self.tau / (self.tau + dt)
-        self._est = alpha * self._est + (1.0 - alpha) * raw
-        return self._est.copy()
+        beta = 1.0 - alpha
+        if prev is None:  # no history: the raw difference is zero
+            est = [alpha * e + beta * 0.0 for e in self._est]
+        else:
+            est = [alpha * e + beta * ((a - b) / dt)
+                   for e, a, b in zip(self._est, x, prev)]
+        self._est = tuple(est)
+        return self._est

@@ -69,18 +69,20 @@ class RigidState:
 
 @dataclass
 class RotorSpeeds:
-    """Rotor speed magnitudes [rad/s] plus a flag set when the limit clipped them."""
+    """Rotor speed magnitudes [rad/s] as a float tuple, plus a flag set when
+    the limit clipped them."""
 
-    omega: np.ndarray
+    omega: tuple
     saturated: bool = False
 
 
 @dataclass
 class WrenchCommand:
-    """Collective thrust [N] and body torques [N m]."""
+    """Collective thrust [N] and body torques [N m], any 3-sequence
+    (a float tuple when rotor_wrench builds it)."""
 
     thrust: float
-    torque: np.ndarray
+    torque: tuple
 
 
 def rotation_matrix(att) -> np.ndarray:
@@ -129,18 +131,21 @@ def rotor_wrench(speeds, p: VehicleParams) -> WrenchCommand:
 
     Rotors 1..4 sit on the +x, +y, -x, -y body arms; 1 and 3 spin opposite
     to 2 and 4, so their drag torques fight each other about z.
+
+    speeds is a RotorSpeeds or any 4-sequence; the torque is a float tuple.
     """
     om = speeds.omega if isinstance(speeds, RotorSpeeds) else speeds
-    s0 = float(om[0]) ** 2
-    s1 = float(om[1]) ** 2
-    s2 = float(om[2]) ** 2
-    s3 = float(om[3]) ** 2
+    o0, o1, o2, o3 = om
+    s0 = float(o0) ** 2
+    s1 = float(o1) ** 2
+    s2 = float(o2) ** 2
+    s3 = float(o3) ** 2
     thrust = p.kt * (s0 + s1 + s2 + s3)
-    torque = np.array([
+    torque = (
         p.arm * p.kt * (s1 - s3),
         p.arm * p.kt * (s2 - s0),
         p.kq * (s1 + s3 - s0 - s2),
-    ])
+    )
     return WrenchCommand(thrust, torque)
 
 
@@ -148,25 +153,27 @@ def allocate_rotors(w: WrenchCommand, p: VehicleParams) -> RotorSpeeds:
     """Invert the wrench map: squared rotor speeds from thrust and torques.
 
     Negative squared speeds (infeasible demand) clip to zero and speeds
-    clip to omega_max; either sets the saturated flag.
+    clip to omega_max; either sets the saturated flag. The speeds are a
+    tuple of four floats.
     """
+    tx, ty, tz = w.torque
     t4 = w.thrust / (4.0 * p.kt)
-    rx = float(w.torque[0]) / (2.0 * p.arm * p.kt)
-    ry = float(w.torque[1]) / (2.0 * p.arm * p.kt)
-    rz = float(w.torque[2]) / (4.0 * p.kq)
+    rx = float(tx) / (2.0 * p.arm * p.kt)
+    ry = float(ty) / (2.0 * p.arm * p.kt)
+    rz = float(tz) / (4.0 * p.kq)
     omax = p.omega_max
     saturated = False
-    om = np.empty(4)
-    for i, sq in enumerate((t4 - ry - rz, t4 + rx + rz, t4 + ry - rz, t4 - rx + rz)):
+    om = []
+    for sq in (t4 - ry - rz, t4 + rx + rz, t4 + ry - rz, t4 - rx + rz):
         if sq < 0.0:
             saturated = True
             sq = 0.0
         o = math.sqrt(sq)
         if o > omax:
             saturated = True
-            o = omax
-        om[i] = o
-    return RotorSpeeds(om, saturated)
+            o = float(omax)
+        om.append(o)
+    return RotorSpeeds(tuple(om), saturated)
 
 
 def f2(rate, p: VehicleParams) -> np.ndarray:

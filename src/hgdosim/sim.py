@@ -197,6 +197,15 @@ def run_scenario(cfg: ScenarioConfig, params: VehicleParams | None = None,
 
     Raises Diverged (with the rows recorded so far attached) if the state
     leaves the flight envelope or stops being finite.
+
+    Besides the settings of the run, trace.meta carries wall_time and the
+    work counters: base_steps, rk4_substeps, rhs_calls (4 per substep) and
+    outer_ticks. On a Diverged trace they count the steps taken, the
+    diverging one included.
+
+    Everything that runs once per tick (observer, controller, allocation)
+    works on Python floats and float tuples, in a fixed operation order:
+    the traces depend on every bit of it.
     """
     p = params or cfg.vehicle or MICRO_QUAD
     gn = gains or cfg.gains or DEFAULT_GAINS
@@ -248,18 +257,18 @@ def run_scenario(cfg: ScenarioConfig, params: VehicleParams | None = None,
     g2 = hgdo_init(cfg.rate0, cfg.epsilon2, cfg.d_hat0_torque, loop="rotational").gamma
     y = tuple(float(v) for v in (*cfg.pos0, *cfg.vel0, *cfg.att0, *cfg.rate0, *g1, *g2))
 
-    d1_naive = np.array(cfg.d_hat0_force, dtype=float)
-    d2_naive = np.array(cfg.d_hat0_torque, dtype=float)
+    d1_naive = tuple(float(v) for v in cfg.d_hat0_force)
+    d2_naive = tuple(float(v) for v in cfg.d_hat0_torque)
     fd_vel = DerivativeFilter(tau=5.0 * dt, size=3)
     fd_rate = DerivativeFilter(tau=5.0 * dt, size=3)
     # the model terms go through the same low-pass as the finite differences;
     # without the matched lag, fast angular-acceleration content fails to
     # cancel between the two forcing paths and feeds back into the torque
-    naive_mt1 = np.zeros(3)
-    naive_mt2 = np.zeros(3)
+    # (mt* are the raw terms, mf* the filtered ones: a * mf + (1 - a) * mt)
+    mt1x = mt1y = mt1z = mt2x = mt2y = mt2z = 0.0
+    mf1x = mf1y = mf1z = mf2x = mf2y = mf2z = 0.0
     naive_alpha = 5.0 / 6.0
-    naive_mt1_f = np.zeros(3)
-    naive_mt2_f = np.zeros(3)
+    naive_beta = 1.0 - naive_alpha
 
     ref_vel_filter = DerivativeFilter(tau=4.0 * dt_outer, size=3)
     ref_acc_filter = DerivativeFilter(tau=4.0 * dt_outer, size=3)
@@ -268,21 +277,15 @@ def run_scenario(cfg: ScenarioConfig, params: VehicleParams | None = None,
     # warm up the reference differentiators on the pre-t=0 stretch of the
     # trajectory so the feedforward is already settled at the first tick
     for j in range(-25, 0):
-        pd = np.asarray(cfg.trajectory.position(j * dt_outer), dtype=float)
+        pd = cfg.trajectory.position(j * dt_outer)
         ref_acc_filter.step(ref_vel_filter.step(pd, dt_outer), dt_outer)
 
-    # held between outer ticks (the scalar mirrors feed the trace and the
-    # error math on the base steps in between)
-    sp = AttitudeSetpoint(np.zeros(3), p.hover_thrust)
-    u1vec = np.array([0.0, 0.0, g])
-    pos_d = np.asarray(cfg.trajectory.position(0.0), dtype=float)
-    vel_d = np.zeros(3)
-    acc_d = np.zeros(3)
+    # held between outer ticks, which start at k = 0 (the scalars feed the
+    # trace and the error math on the base steps in between)
+    sp = AttitudeSetpoint((0.0, 0.0, 0.0), p.hover_thrust)
     outer_flags = 0
-    pd0, pd1, pd2 = (float(v) for v in pos_d)
-    vd0 = vd1 = vd2 = 0.0
-    spa0 = spa1 = spa2 = 0.0
-    sr0 = sr1 = sr2 = 0.0
+    pd0 = pd1 = pd2 = vd0 = vd1 = vd2 = 0.0
+    spa0 = spa1 = spa2 = sr0 = sr1 = sr2 = 0.0
     u10, u11, u12 = 0.0, 0.0, g
     thrust_cmd = p.hover_thrust
 
@@ -384,8 +387,19 @@ def run_scenario(cfg: ScenarioConfig, params: VehicleParams | None = None,
         "noise_power": cfg.noise_power, "allocate": cfg.allocate,
     }
 
-    def partial(k, message):
+    def finish(steps, rows):
+        """Stamp wall time and work counters on meta. An outer tick ran on
+        every outer_div-th recorded row, starting at row 0."""
         meta["wall_time"] = time.perf_counter() - wall_start
+        meta["counters"] = {
+            "base_steps": steps, "rk4_substeps": steps * n_sub,
+            "rhs_calls": 4 * n_sub * steps,
+            "outer_ticks": (rows + outer_div - 1) // outer_div,
+        }
+
+    def partial(k, message):
+        # rows 0..k-1 are recorded and the step out of row k-1 was taken
+        finish(k, k)
         return Diverged(message, SimTrace(data[:k].copy(), meta, cfg))
 
     carry_flags = 0
@@ -419,14 +433,18 @@ def run_scenario(cfg: ScenarioConfig, params: VehicleParams | None = None,
             d1_hat = (y[12] + vmx * ie1, y[13] + vmy * ie1, y[14] + vmz * ie1)
             d2_hat = (y[15] + rmp * ie2, y[16] + rmq * ie2, y[17] + rmr * ie2)
         elif use_naive:
-            naive_mt1_f = naive_alpha * naive_mt1_f + (1.0 - naive_alpha) * naive_mt1
-            naive_mt2_f = naive_alpha * naive_mt2_f + (1.0 - naive_alpha) * naive_mt2
-            d1_naive = naive_hgdo_step(d1_naive, fd_vel.step((vmx, vmy, vmz), dt),
-                                       naive_mt1_f, cfg.epsilon1, dt)
-            d2_naive = naive_hgdo_step(d2_naive, fd_rate.step((rmp, rmq, rmr), dt),
-                                       naive_mt2_f, cfg.epsilon2, dt)
-            d1_hat = (float(d1_naive[0]), float(d1_naive[1]), float(d1_naive[2]))
-            d2_hat = (float(d2_naive[0]), float(d2_naive[1]), float(d2_naive[2]))
+            mf1x = naive_alpha * mf1x + naive_beta * mt1x
+            mf1y = naive_alpha * mf1y + naive_beta * mt1y
+            mf1z = naive_alpha * mf1z + naive_beta * mt1z
+            mf2x = naive_alpha * mf2x + naive_beta * mt2x
+            mf2y = naive_alpha * mf2y + naive_beta * mt2y
+            mf2z = naive_alpha * mf2z + naive_beta * mt2z
+            d1_hat = d1_naive = naive_hgdo_step(
+                d1_naive, fd_vel.step((vmx, vmy, vmz), dt), (mf1x, mf1y, mf1z),
+                cfg.epsilon1, dt)
+            d2_hat = d2_naive = naive_hgdo_step(
+                d2_naive, fd_rate.step((rmp, rmq, rmr), dt), (mf2x, mf2y, mf2z),
+                cfg.epsilon2, dt)
         else:
             d1_hat = d2_hat = (0.0, 0.0, 0.0)
 
@@ -434,32 +452,28 @@ def run_scenario(cfg: ScenarioConfig, params: VehicleParams | None = None,
         carry_flags = 0
         if k % outer_div == 0:
             outer_flags = 0
-            pos_d = np.asarray(trajectory.position(t), dtype=float)
+            pd0, pd1, pd2 = pos_d = tuple(map(float, trajectory.position(t)))
             psi_d = trajectory.yaw(t)
-            vel_d = ref_vel_filter.step(pos_d, dt_outer)
+            vd0, vd1, vd2 = vel_d = ref_vel_filter.step(pos_d, dt_outer)
             acc_d = ref_acc_filter.step(vel_d, dt_outer)
-            u1vec, clamped = outer_loop((px, py, pz), (vmx, vmy, vmz),
-                                        pos_d, vel_d, acc_d, d1_hat, gn, p)
+            (u10, u11, u12), clamped = outer_loop((px, py, pz), (vmx, vmy, vmz),
+                                                  pos_d, vel_d, acc_d, d1_hat, gn, p)
             if clamped:
                 outer_flags |= FLAG_OUTER_CLAMP
-            if u1vec[2] < gn.uz_min:
-                u1vec[2] = gn.uz_min
+            if u12 < gn.uz_min:
+                u12 = float(gn.uz_min)
                 outer_flags |= FLAG_UZ_FLOOR
-            sp = extract_attitude(u1vec, psi_d, gn, p)
+            sp = extract_attitude((u10, u11, u12), psi_d, gn, p)
             sp.rates = sp_rate_filter.step(sp.angles, dt_outer)
             sp.accels = sp_acc_filter.step(sp.rates, dt_outer)
-            pd0, pd1, pd2 = float(pos_d[0]), float(pos_d[1]), float(pos_d[2])
-            vd0, vd1, vd2 = float(vel_d[0]), float(vel_d[1]), float(vel_d[2])
-            spa0, spa1, spa2 = (float(v) for v in sp.angles)
-            sr0, sr1, sr2 = (float(v) for v in sp.rates)
-            u10, u11, u12 = float(u1vec[0]), float(u1vec[1]), float(u1vec[2])
+            spa0, spa1, spa2 = sp.angles
+            sr0, sr1, sr2 = sp.rates
             thrust_cmd = sp.thrust
             assert thrust_cmd <= thrust_cap * (1.0 + 1e-9) + 1e-12
         flags |= outer_flags
 
-        u2vec = inner_loop((ph, th, ps), (rmp, rmq, rmr), sp, d2_hat,
-                           (f2x, f2y, f2z), gn)
-        u20, u21, u22 = float(u2vec[0]), float(u2vec[1]), float(u2vec[2])
+        u20, u21, u22 = inner_loop((ph, th, ps), (rmp, rmq, rmr), sp, d2_hat,
+                                   (f2x, f2y, f2z), gn)
         tcx = jx * u20
         tcy = jy * u21
         tcz = jz * u22
@@ -470,16 +484,13 @@ def run_scenario(cfg: ScenarioConfig, params: VehicleParams | None = None,
         if tcz > capz: tcz = capz; flags |= FLAG_TORQUE_CLAMP
         elif tcz < -capz: tcz = -capz; flags |= FLAG_TORQUE_CLAMP
         rotors = allocate_rotors(WrenchCommand(thrust_cmd, (tcx, tcy, tcz)), p)
-        om = rotors.omega
-        om0, om1, om2, om3 = float(om[0]), float(om[1]), float(om[2]), float(om[3])
+        om0, om1, om2, om3 = rotors.omega
         if allocate:
             if rotors.saturated:
                 flags |= FLAG_ROTOR_SAT
-            applied = rotor_wrench(om, p)
+            applied = rotor_wrench(rotors.omega, p)
             thrust_act = applied.thrust
-            ta0 = float(applied.torque[0])
-            ta1 = float(applied.torque[1])
-            ta2 = float(applied.torque[2])
+            ta0, ta1, ta2 = applied.torque
         else:
             thrust_act = thrust_cmd
             ta0, ta1, ta2 = tcx, tcy, tcz
@@ -490,12 +501,12 @@ def run_scenario(cfg: ScenarioConfig, params: VehicleParams | None = None,
             sth, cth = sin(th), cos(th)
             sps, cps = sin(ps), cos(ps)
             a_act = thrust_act / m
-            naive_mt1 = np.array([
-                -a_act * (cph * sth * cps + sph * sps),
-                -a_act * (cph * sth * sps - sph * cps),
-                g - a_act * cph * cth,
-            ])
-            naive_mt2 = np.array([-f2x - ta0 / jx, -f2y - ta1 / jy, -f2z - ta2 / jz])
+            mt1x = -a_act * (cph * sth * cps + sph * sps)
+            mt1y = -a_act * (cph * sth * sps - sph * cps)
+            mt1z = g - a_act * cph * cth
+            mt2x = -f2x - ta0 / jx
+            mt2y = -f2y - ta1 / jy
+            mt2z = -f2z - ta2 / jz
 
         e1x = pd0 - px
         e1y = pd1 - py
@@ -645,5 +656,5 @@ def run_scenario(cfg: ScenarioConfig, params: VehicleParams | None = None,
         if ph != y[6] or th != y[7] or ps != y[8]:
             y = y[0:6] + (ph, th, ps) + y[9:18]
 
-    meta["wall_time"] = time.perf_counter() - wall_start
+    finish(n_base, n_base + 1)
     return SimTrace(data, meta, cfg)

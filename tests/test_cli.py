@@ -181,6 +181,38 @@ class TestPositionDependentDisturbance:
         assert report["b"]["bound_check"] is None
 
 
+    def test_sweep_reports_every_variant(self, tmp_path, capsys):
+        # the ground-effect channel differs per variant by design; the sweep
+        # compares the remaining channels and runs to the end
+        doc = json.loads(GROUND_EFFECT.read_text())
+        doc["duration"] = 1.0
+        cfg = tmp_path / "ground_effect.json"
+        cfg.write_text(json.dumps(doc))
+        out = tmp_path / "o"
+        assert main(["sweep", str(cfg), "--eps", "0.01,0.04", "--smc-only",
+                     "--out", str(out)]) == 0
+        report = json.loads((out / "sweep.json").read_text())
+        validate_metrics(report)
+        assert [v["label"] for v in report["variants"]] == [
+            "eps=0.01", "eps=0.04", "smc-only"]
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.err
+        rows = [line.split() for line in captured.out.splitlines()[1:7]]
+        assert [len(r) for r in rows] == [4] * 6
+
+    def test_sweep_realization_mismatch_is_config_error(self, tmp_path, capsys,
+                                                        monkeypatch):
+        from hgdosim import metrics
+
+        def mismatch(*args, **kwargs):
+            raise metrics.RealizationMismatch("sweep variants saw different "
+                                              "disturbance realizations")
+
+        monkeypatch.setattr("hgdosim.cli.sweep", mismatch)
+        assert main(["sweep", str(GROUND_EFFECT), "--out", str(tmp_path)]) == 3
+        assert "realizations" in capsys.readouterr().err
+
+
 class TestPlot:
     def make_trace(self, tmp_path):
         cfg = write_cfg(tmp_path)

@@ -80,6 +80,7 @@ class TestOuterLoop:
         d1 = np.array([0.3, -0.2, 0.5])
         u0, _ = outer_loop(z, z, z, z, z, z, G, P)
         u1, _ = outer_loop(z, z, z, z, z, d1, G, P)
+        u0, u1 = np.asarray(u0), np.asarray(u1)
         assert np.allclose(u0 - u1, d1)
 
     def test_clamp_bounds_thrust(self):
@@ -110,7 +111,7 @@ class TestAttitudeExtraction:
         sp = extract_attitude([0.0, 0.0, P.g], 0.0, G, P)
         assert np.allclose(sp.angles, 0.0)
         assert sp.thrust == pytest.approx(P.m * P.g)
-        assert np.all(sp.rates == 0.0) and np.all(sp.accels == 0.0)
+        assert np.all(np.asarray(sp.rates) == 0.0) and np.all(np.asarray(sp.accels) == 0.0)
 
     def test_diagonal_demand_frozen(self):
         sp = extract_attitude([3.0, 0.0, 3.0], 0.0, G, P)
@@ -196,3 +197,67 @@ class TestDefaults:
         for v in (G.lam1, G.lam2, G.k1, G.k2, G.l1, G.l2):
             assert np.all(v > 0.0)
         assert G.mu == 0.05 and G.uz_min == 2.0
+
+
+def _outer_array_oracle(pos, vel, pos_d, vel_d, acc_d, d1_hat, gains, p):
+    """The 3-vector formula outer_loop computes, in numpy."""
+    e = np.asarray(pos_d, dtype=float) - np.asarray(pos, dtype=float)
+    e_dot = np.asarray(vel_d, dtype=float) - np.asarray(vel, dtype=float)
+    s = e_dot + gains.lam1 * e
+    sw = np.clip(s / gains.mu, -1.0, 1.0)
+    u = (np.asarray(acc_d, dtype=float) + np.array([0.0, 0.0, p.g])
+         - np.asarray(d1_hat, dtype=float)
+         + gains.lam1 * e_dot + gains.k1 * sw + gains.l1 * s)
+    cap = gains.thrust_cap(p) / (p.m * math.sqrt(3.0))
+    clamped = bool(np.any((u > cap) | (u < -cap)))
+    return np.clip(u, -cap, cap), clamped
+
+
+def _inner_array_oracle(att, rate, sp, d2_hat, f2val, gains):
+    """The 3-vector formula inner_loop computes, in numpy."""
+    e = np.asarray(sp.angles, dtype=float) - np.asarray(att, dtype=float)
+    e[2] = wrap_angle(e[2])
+    e_dot = np.asarray(sp.rates, dtype=float) - np.asarray(rate, dtype=float)
+    s = e_dot + gains.lam2 * e
+    sw = np.clip(s / gains.mu, -1.0, 1.0)
+    return (np.asarray(sp.accels, dtype=float) - np.asarray(f2val, dtype=float)
+            - np.asarray(d2_hat, dtype=float)
+            + gains.lam2 * e_dot + gains.k2 * sw + gains.l2 * s)
+
+
+class TestScalarFormsMatchArrayForms:
+    """The float-tuple loops give the same bits as the array formulas."""
+
+    def test_outer_loop(self, awkward):
+        rng = np.random.default_rng(31)
+        for i in range(1000):
+            # small errors exercise the boundary layer, awkward ones the rest
+            pos, vel, pos_d, vel_d, acc_d, d1 = (
+                awkward(rng, (6, 3)) if i % 2 else rng.normal(scale=0.02, size=(6, 3)))
+            with np.errstate(all="ignore"):
+                want, want_clamped = _outer_array_oracle(pos, vel, pos_d, vel_d,
+                                                         acc_d, d1, G, P)
+            got, clamped = outer_loop(tuple(pos), list(vel), pos_d, vel_d, acc_d,
+                                      tuple(d1), G, P)
+            assert type(got) is tuple and all(type(v) is float for v in got)
+            assert np.array(got).tobytes() == want.tobytes()
+            assert clamped == want_clamped
+
+    def test_outer_loop_adds_gravity_on_every_axis(self):
+        # -0.0 references make every later term -0.0, so only the explicit
+        # acc_d + 0.0 on x and y turns the command into +0.0
+        z, nz = (0.0, 0.0, 0.0), (-0.0, -0.0, -0.0)
+        u, _ = outer_loop(z, z, nz, nz, nz, z, G, P)
+        assert np.array(u).tobytes() == np.array([0.0, 0.0, P.g]).tobytes()
+
+    def test_inner_loop(self, awkward):
+        rng = np.random.default_rng(37)
+        for i in range(1000):
+            att, rate, angles, rates, accels, d2, f2val = (
+                awkward(rng, (7, 3)) if i % 2 else rng.normal(scale=0.02, size=(7, 3)))
+            sp = AttitudeSetpoint(tuple(angles), 0.3, tuple(rates), tuple(accels))
+            with np.errstate(all="ignore"):
+                want = _inner_array_oracle(att, rate, sp, d2, f2val, G)
+            got = inner_loop(tuple(att), rate, sp, list(d2), tuple(f2val), G)
+            assert type(got) is tuple and all(type(v) is float for v in got)
+            assert np.array(got).tobytes() == want.tobytes()

@@ -8,10 +8,17 @@ import numpy as np
 import pytest
 
 from hgdosim import metrics
-from hgdosim.disturbances import CompositeSinusoid, Constant, DrydenGust
+from hgdosim.disturbances import (
+    CompositeSinusoid,
+    Constant,
+    DrydenGust,
+    GroundEffect,
+    Signal,
+)
 from hgdosim.metrics import (
     BoundResult,
     EmptyTrace,
+    RealizationMismatch,
     StochasticDisturbance,
     bound_check,
     compare,
@@ -26,7 +33,7 @@ from hgdosim.metrics import (
     total_variation,
 )
 from hgdosim.sim import TRACE_COLUMNS, ScenarioConfig, SimTrace, run_scenario
-from hgdosim.trajectories import HoverRamp
+from hgdosim.trajectories import HoverRamp, Lemniscate
 
 HOLD = np.array([0.0, 0.0, 0.5])
 
@@ -256,6 +263,31 @@ class TestSweep:
                         force_signals=(DrydenGust("u"), None, None))
         out = sweep(base, [0.01, 0.04], include_smc_only=False)
         assert len(out["variants"]) == 2
+
+    def test_position_dependent_channel_is_not_compared(self):
+        low = np.array([0.0, 0.0, 0.2])   # inside the ground-effect band
+        base = hold_cfg(name="ground", duration=0.5, trajectory=HoverRamp(target=low),
+                        pos0=low, force_signals=(None, None, GroundEffect()))
+        out = sweep(base, [0.01, 0.04], include_smc_only=True)
+        assert len(out["variants"]) == 3
+
+    def test_position_gated_stochastic_channel_still_raises(self):
+        # a stochastic draw that depends on where the vehicle is cannot be
+        # shared between variants that fly different paths
+        class PositionNoise(Signal):
+            stochastic = True
+            needs_position = True
+
+            def bind(self, rng):
+                pass
+
+            def advance(self, t, dt, pos=None):
+                return 0.1 * pos[0]
+
+        base = hold_cfg(name="gated", duration=1.0, trajectory=Lemniscate(),
+                        force_signals=(PositionNoise(), None, None))
+        with pytest.raises(RealizationMismatch, match="realization"):
+            sweep(base, [0.01, 0.08], include_smc_only=False)
 
 
 class TestCompare:

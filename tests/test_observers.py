@@ -8,7 +8,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from hgdosim.disturbances import CompositeSinusoid, derivative_l1, white_noise
-from hgdosim.integrate import rk4_step
+from hgdosim.integrate import NonFinite, rk4_step
 from hgdosim.observers import (
     DerivativeFilter,
     HgdoState,
@@ -241,3 +241,66 @@ class TestDerivativeFilter:
         f.step(np.array([2.0]), 0.01)
         f.reset()
         assert_allclose(f.step(np.array([5.0]), 0.01), [0.0], atol=0)
+
+
+def _naive_array_oracle(d_hat, x_dot, model_term, eps, dt):
+    """The array form naive_hgdo_step replaced: the generic RK4 on 3-vectors."""
+    forcing = np.asarray(x_dot, dtype=float) + np.asarray(model_term, dtype=float)
+    return rk4_step(lambda _t, dh: (forcing - dh) / eps, 0.0,
+                    np.asarray(d_hat, dtype=float), dt)
+
+
+class _ArrayDerivativeFilter:
+    """The array form DerivativeFilter replaced."""
+
+    def __init__(self, tau, size):
+        self.tau = tau
+        self.prev = None
+        self.est = np.zeros(size)
+
+    def step(self, x, dt):
+        x = np.asarray(x, dtype=float)
+        raw = np.zeros_like(self.est) if self.prev is None else (x - self.prev) / dt
+        self.prev = x.copy()
+        alpha = self.tau / (self.tau + dt)
+        self.est = alpha * self.est + (1.0 - alpha) * raw
+        return self.est.copy()
+
+
+class TestScalarFormsMatchArrayForms:
+    """The float-tuple observers give the same bits as the array formulas."""
+
+    def test_naive_step(self, awkward):
+        rng = np.random.default_rng(2024)
+        finite = 0
+        for _ in range(1000):
+            d_hat, x_dot, model_term = awkward(rng, (3, 3))
+            eps = 10.0 ** rng.uniform(-4.0, 0.0)
+            dt = 10.0 ** rng.uniform(-5.0, -1.0)
+            try:
+                with np.errstate(all="ignore"):
+                    want = _naive_array_oracle(d_hat, x_dot, model_term, eps, dt)
+            except NonFinite:
+                with pytest.raises(NonFinite):
+                    naive_hgdo_step(list(d_hat), tuple(x_dot), model_term, eps, dt)
+                continue
+            got = naive_hgdo_step(list(d_hat), tuple(x_dot), model_term, eps, dt)
+            assert type(got) is tuple and all(type(v) is float for v in got)
+            assert np.array(got).tobytes() == want.tobytes()
+            finite += 1
+        assert finite > 500
+
+    def test_derivative_filter_sequences(self, awkward):
+        rng = np.random.default_rng(99)
+        for _ in range(20):
+            tau = 10.0 ** rng.uniform(-4.0, 0.0)
+            scalar = DerivativeFilter(tau=tau, size=3)
+            array = _ArrayDerivativeFilter(tau, 3)
+            xs = awkward(rng, (50, 3))
+            dts = 10.0 ** rng.uniform(-4.0, -1.0, size=50)
+            for x, dt in zip(xs, dts):
+                with np.errstate(all="ignore"):
+                    want = array.step(x, dt)
+                got = scalar.step(tuple(x.tolist()), float(dt))
+                assert type(got) is tuple and all(type(v) is float for v in got)
+                assert np.array(got).tobytes() == want.tobytes()

@@ -101,9 +101,10 @@ class TestRotorMaps:
     def test_hover_allocation(self):
         s = allocate_rotors(WrenchCommand(0.27468, np.zeros(3)), MICRO_QUAD)
         assert not s.saturated
-        assert_allclose(s.omega**2, np.full(4, 2384375.0), rtol=1e-12)
-        assert_allclose(s.omega, np.full(4, 1544.1421566682259), rtol=1e-12)
-        assert (s.omega < MICRO_QUAD.omega_max).all()
+        omega = np.asarray(s.omega)
+        assert_allclose(omega**2, np.full(4, 2384375.0), rtol=1e-12)
+        assert_allclose(omega, np.full(4, 1544.1421566682259), rtol=1e-12)
+        assert (omega < MICRO_QUAD.omega_max).all()
 
     def test_zero_wrench_allocates_zero(self):
         s = allocate_rotors(WrenchCommand(0.0, np.zeros(3)), MICRO_QUAD)
@@ -132,10 +133,10 @@ class TestRotorMaps:
     def test_infeasible_wrench_flags_saturation(self):
         s = allocate_rotors(WrenchCommand(0.0, np.array([1e-3, 0.0, 0.0])), MICRO_QUAD)
         assert s.saturated
-        assert (s.omega >= 0.0).all()
+        assert (np.asarray(s.omega) >= 0.0).all()
         big = allocate_rotors(WrenchCommand(5.0, np.zeros(3)), MICRO_QUAD)
         assert big.saturated
-        assert (big.omega <= MICRO_QUAD.omega_max).all()
+        assert (np.asarray(big.omega) <= MICRO_QUAD.omega_max).all()
 
 
 class TestDynamics:
@@ -220,3 +221,65 @@ def test_vehicle_params_defaults():
     assert p.m == 0.028 and p.arm == 0.092
     assert_allclose(p.j, [1.4e-5, 1.4e-5, 2.17e-5], rtol=0)
     assert_allclose(p.hover_thrust, 0.27468, rtol=1e-12)
+
+
+def _allocate_array_oracle(w, p):
+    """The squared-speed inversion allocate_rotors computes, in numpy."""
+    torque = np.asarray(w.torque, dtype=float)
+    t4 = w.thrust / (4.0 * p.kt)
+    rx, ry, rz = torque / np.array([2.0 * p.arm * p.kt, 2.0 * p.arm * p.kt, 4.0 * p.kq])
+    sq = np.array([t4 - ry - rz, t4 + rx + rz, t4 + ry - rz, t4 - rx + rz])
+    om = np.sqrt(np.where(sq < 0.0, 0.0, sq))
+    saturated = bool((sq < 0.0).any() or (om > p.omega_max).any())
+    return np.where(om > p.omega_max, p.omega_max, om), saturated
+
+
+def _wrench_array_oracle(omega, p):
+    """The rotor wrench map rotor_wrench computes, in numpy. The squares are
+    float ** 2, as they always were: C pow and x * x (numpy's square) differ
+    in the last bit on about one input in a thousand."""
+    s = np.array([float(o) ** 2 for o in omega])
+    thrust = p.kt * (s[0] + s[1] + s[2] + s[3])
+    torque = np.array([p.arm * p.kt * (s[1] - s[3]), p.arm * p.kt * (s[2] - s[0]),
+                       p.kq * (s[1] + s[3] - s[0] - s[2])])
+    return thrust, torque
+
+
+class TestScalarFormsMatchArrayForms:
+    """The float-tuple rotor maps give the same bits as the array formulas."""
+
+    def test_allocate_rotors(self, awkward):
+        rng = np.random.default_rng(41)
+        p = MICRO_QUAD
+        for i in range(1000):
+            if i % 2:
+                thrust, *torque = awkward(rng, 4)
+            else:  # near hover, where most of the engine's calls land
+                thrust = rng.uniform(0.0, 0.6)
+                torque = rng.normal(scale=[3e-3, 3e-3, 1e-3])
+            w = WrenchCommand(float(thrust), tuple(torque))
+            with np.errstate(all="ignore"):
+                want, want_sat = _allocate_array_oracle(w, p)
+            got = allocate_rotors(w, p)
+            assert type(got.omega) is tuple and all(type(v) is float for v in got.omega)
+            assert np.array(got.omega).tobytes() == want.tobytes()
+            assert got.saturated == want_sat
+
+    def test_rotor_wrench(self, awkward):
+        rng = np.random.default_rng(43)
+        p = MICRO_QUAD
+        for i in range(4000):
+            # many in-range speeds, so a square taken as x * x shows up too
+            omega = awkward(rng, 4) if i % 4 == 0 else rng.uniform(0.0, p.omega_max, 4)
+            try:
+                with np.errstate(all="ignore"):
+                    thrust, torque = _wrench_array_oracle(omega, p)
+            except OverflowError:
+                with pytest.raises(OverflowError):
+                    rotor_wrench(tuple(omega), p)
+                continue
+            got = rotor_wrench(tuple(omega), p)
+            assert type(got.thrust) is float
+            assert type(got.torque) is tuple and all(type(v) is float for v in got.torque)
+            assert np.array([got.thrust, *got.torque]).tobytes() == \
+                np.array([thrust, *torque]).tobytes()

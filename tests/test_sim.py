@@ -69,6 +69,17 @@ class TestTraceShape:
         assert tr.meta["wall_time"] > 0.0
         assert tr.config is not None
 
+    def test_work_counters(self):
+        # 0.5 s at dt 0.002 is 250 base steps; 2 substeps per step, 4 rhs
+        # calls per substep, an outer tick on rows 0, 3, ..., 249
+        tr = run_scenario(hold_cfg(duration=0.5, substeps=2, outer_divisor=3))
+        steps = len(tr) - 1
+        assert steps == 250
+        assert tr.meta["counters"] == {
+            "base_steps": steps, "rk4_substeps": 2 * steps,
+            "rhs_calls": 4 * 2 * steps, "outer_ticks": 84,
+        }
+
 
 class TestEquilibrium:
     def test_static_hover_is_preserved(self):
@@ -191,6 +202,12 @@ class TestGuards:
         assert 0 < len(tr) < 5001
         assert np.all(np.diff(tr.t) > 0.0)
         assert "wall_time" in tr.meta
+        # every recorded row stepped the state once; the last step diverged
+        n_sub = tr.meta["substeps"]
+        assert tr.meta["counters"] == {
+            "base_steps": len(tr), "rk4_substeps": n_sub * len(tr),
+            "rhs_calls": 4 * n_sub * len(tr), "outer_ticks": len(tr),
+        }
 
     def test_uz_floor_flag_raised(self):
         # A large upward push drives the vertical demand below the extraction

@@ -30,6 +30,10 @@ class Signal:
     def value(self, t, pos=None):
         raise NotImplementedError
 
+    def discretize(self, dt):
+        """Adapt to the step a run advances a stochastic signal by (no-op
+        unless the signal was discretized for a fixed step)."""
+
 
 class Zero(Signal):
     def value(self, t, pos=None):
@@ -98,6 +102,9 @@ class Scaled(Signal):
 
     def bind(self, rng):
         self.inner.bind(rng)
+
+    def discretize(self, dt):
+        self.inner.discretize(dt)
 
     def advance(self, t, dt, pos=None):
         return self.gain * self.inner.advance(t, dt, pos)
@@ -249,13 +256,16 @@ class DrydenGust(Signal):
     """Dryden gust velocity mapped to an acceleration disturbance.
 
     accel_gain is the drag-over-mass coupling [1/s] from gust velocity to
-    acceleration; zero wind speed gives an identically zero signal.
+    acceleration; zero wind speed gives an identically zero signal. The
+    filter is discretized at dt, and again by discretize(dt) at a run's
+    own step.
     """
 
     stochastic = True
 
     def __init__(self, axis: str, wind_speed: float = 1.11, altitude: float = 0.5,
                  airspeed: float = 2.0, accel_gain: float = 0.5, dt: float = 0.002):
+        self._spec = (axis, wind_speed, altitude, airspeed)
         self.filter = DrydenFilter(axis, wind_speed, altitude, airspeed, dt)
         self.accel_gain = float(accel_gain)
         self._rng = None
@@ -263,6 +273,10 @@ class DrydenGust(Signal):
     def bind(self, rng):
         self._rng = rng
         self.filter.reset()
+
+    def discretize(self, dt):
+        if dt != self.filter.dt:
+            self.filter = DrydenFilter(*self._spec, dt)
 
     def advance(self, t, dt, pos=None):
         return self.accel_gain * self.filter.step(self._rng)
@@ -291,6 +305,9 @@ class BoxGated(Signal):
 
     def bind(self, rng):
         self.inner.bind(rng)
+
+    def discretize(self, dt):
+        self.inner.discretize(dt)
 
     def advance(self, t, dt, pos=None):
         return self._gate(pos) * self.inner.advance(t, dt, pos)

@@ -129,31 +129,53 @@ class DerivativeFilter:
     The first call returns zero (no history yet). tau is the filter time
     constant; the engine uses 5x its measurement interval. step takes a
     sequence of `size` numbers and returns a tuple of floats; the state is
-    kept as tuples.
+    kept as tuples. The low-pass weights are cached for the last dt and
+    tau, and size 3 (every filter the engine runs) is written out, in the
+    operation order of the general path.
     """
 
     def __init__(self, tau: float, size: int = 3):
         if tau <= 0.0:
             raise ValueError("tau must be positive")
         self.tau = float(tau)
+        self._size = size
         self._zero = (0.0,) * size
         self._prev = None
         self._est = self._zero
+        self._dt = self._tau = None   # the (dt, tau) the cached weights belong to
 
     def reset(self):
         self._prev = None
         self._est = self._zero
 
     def step(self, x, dt: float) -> tuple:
-        x = tuple(map(float, x))
+        if dt != self._dt or self.tau != self._tau:
+            self._dt = dt
+            self._tau = self.tau
+            self._alpha = self.tau / (self.tau + dt)
+            self._beta = 1.0 - self._alpha
+        alpha = self._alpha
+        beta = self._beta
         prev = self._prev
-        self._prev = x
-        alpha = self.tau / (self.tau + dt)
-        beta = 1.0 - alpha
-        if prev is None:  # no history: the raw difference is zero
-            est = [alpha * e + beta * 0.0 for e in self._est]
+        if self._size == 3:
+            x0, x1, x2 = x
+            x0 = float(x0); x1 = float(x1); x2 = float(x2)
+            self._prev = (x0, x1, x2)
+            e0, e1, e2 = self._est
+            if prev is None:  # no history: the raw difference is zero
+                est = (alpha * e0 + beta * 0.0, alpha * e1 + beta * 0.0,
+                       alpha * e2 + beta * 0.0)
+            else:
+                p0, p1, p2 = prev
+                est = (alpha * e0 + beta * ((x0 - p0) / dt),
+                       alpha * e1 + beta * ((x1 - p1) / dt),
+                       alpha * e2 + beta * ((x2 - p2) / dt))
         else:
-            est = [alpha * e + beta * ((a - b) / dt)
-                   for e, a, b in zip(self._est, x, prev)]
-        self._est = tuple(est)
-        return self._est
+            self._prev = x = tuple(map(float, x))
+            if prev is None:
+                est = tuple(alpha * e + beta * 0.0 for e in self._est)
+            else:
+                est = tuple(alpha * e + beta * ((a - b) / dt)
+                            for e, a, b in zip(self._est, x, prev))
+        self._est = est
+        return est

@@ -33,7 +33,7 @@ from .control import (
     outer_loop,
     wrap_angle,
 )
-from .disturbances import Signal, Zero
+from .disturbances import Zero
 from .integrate import NonFinite, rk4_step  # re-exported for callers
 from .observers import DerivativeFilter, hgdo_init, naive_hgdo_step
 from .quad import MICRO_QUAD, VehicleParams, WrenchCommand, allocate_rotors, rotor_wrench
@@ -172,23 +172,229 @@ def lyapunov_value(s1, s2, d1_err, d2_err):
     return 0.5 * sum((a * a).sum(axis=-1) for a in parts)
 
 
-def _signal_closure(sig: Signal):
-    """Callable (t, pos) -> float for a deterministic signal, or None for Zero."""
-    if isinstance(sig, Zero):
-        return None
-    if sig.needs_position:
-        return lambda t, pos, s=sig: s.value(t, pos)
-    return lambda t, pos, s=sig: s.value(t)
-
-
-def _bind_stochastic(signals, seed: int, domain: int):
+def _bind_stochastic(signals, seed: int, domain: int, dt: float):
+    """Discretize each stochastic signal at the run's step and give it its
+    own random stream."""
     for axis, sig in enumerate(signals):
         if sig.stochastic:
             stream_seed = getattr(sig, "seed", None)
             if stream_seed is None:
                 stream_seed = axis
+            sig.discretize(dt)
             sig.bind(np.random.default_rng(
                 np.random.SeedSequence([seed, int(stream_seed), axis, domain])))
+
+
+def build_stepper(cfg: ScenarioConfig, p: VehicleParams, n_sub: int, h: float,
+                  grid, slow):
+    """Return advance(y, H, k, t): state y moved on by the base step from t = k * dt.
+
+    y is the 18-float state (pos, vel, att, rate, gamma1, gamma2). H holds
+    what is held over the step: [a_thrust, tau_x/jx, tau_y/jy, tau_z/jz,
+    6x noise, 3x stoch force, 3x stoch torque]. Deterministic disturbances
+    come from grid (rows on the half-substep grid, 2 * n_sub per base step)
+    or, with no grid, from slow: per channel a Signal.value called at every
+    stage with the stage position, or None.
+
+    One call runs all n_sub classical RK4 substeps of length h, the four
+    stages written out on local floats. Every operation keeps its grouping
+    in RK4 on the model's right-hand side, so traces are bit-identical to
+    it. The gamma states are integrated only for the hgdo observer; nothing
+    else reads them.
+    """
+    g = p.g
+    c1 = (p.jy - p.jz) / p.jx
+    c2 = (p.jz - p.jx) / p.jy
+    c3 = (p.jx - p.jy) / p.jz
+    ie1 = 1.0 / cfg.epsilon1
+    ie2 = 1.0 / cfg.epsilon2
+    nie1 = -ie1
+    nie2 = -ie2
+    full = cfg.plant == "full"
+    hgdo = cfg.observer == "hgdo"
+    live = [(i, f) for i, f in enumerate(slow) if f is not None]
+    has_slow = bool(live)
+    twon = 2 * n_sub
+    h2 = 0.5 * h
+    h6 = h / 6.0
+    sin = math.sin
+    cos = math.cos
+
+    def stage_sums(base, tt, pos):
+        out = list(base)
+        for i, f in live:
+            out[i] += f(tt, pos)
+        return out
+
+    def advance(y, H, k, t):
+        (z0, z1, z2, z3, z4, z5, z6, z7, z8, z9, z10, z11,
+         z12, z13, z14, z15, z16, z17) = y
+        (a, u1, u2, u3, nv0, nv1, nv2, nw0, nw1, nw2,
+         hf0, hf1, hf2, ht0, ht1, ht2) = H
+        # held plus deterministic disturbance per channel at a substep's
+        # start (a), midpoint (b) and end (c); c carries over to the next a
+        if grid is None:
+            fxa = fxb = fxc = hf0 + 0.0; fya = fyb = fyc = hf1 + 0.0
+            fza = fzb = fzc = hf2 + 0.0; txa = txb = txc = ht0 + 0.0
+            tya = tyb = tyc = ht1 + 0.0; tza = tzb = tzc = ht2 + 0.0
+            base = (fxa, fya, fza, txa, tya, tza)
+        else:
+            ib = k * twon
+            d0, d1, d2, d3, d4, d5 = grid[ib]
+            fxc = hf0 + d0; fyc = hf1 + d1; fzc = hf2 + d2
+            txc = ht0 + d3; tyc = ht1 + d4; tzc = ht2 + d5
+        tt = t
+        for _ in range(n_sub):
+            if grid is not None:
+                fxa, fya, fza = fxc, fyc, fzc
+                txa, tya, tza = txc, tyc, tzc
+                d0, d1, d2, d3, d4, d5 = grid[ib + 1]
+                fxb = hf0 + d0; fyb = hf1 + d1; fzb = hf2 + d2
+                txb = ht0 + d3; tyb = ht1 + d4; tzb = ht2 + d5
+                d0, d1, d2, d3, d4, d5 = grid[ib + 2]
+                fxc = hf0 + d0; fyc = hf1 + d1; fzc = hf2 + d2
+                txc = ht0 + d3; tyc = ht1 + d4; tzc = ht2 + d5
+                ib += 2
+
+            # stage 1 at z, time tt
+            sph = sin(z6); cph = cos(z6); sth = sin(z7)
+            cth = cos(z7); sps = sin(z8); cps = cos(z8)
+            cs = cph * sth; abz = a * (cph * cth)
+            abx = a * (cs * cps + sph * sps); aby = a * (cs * sps - sph * cps)
+            if has_slow:
+                fxa, fya, fza, txa, tya, tza = stage_sums(base, tt, (z0, z1, z2))
+            ka3 = abx + fxa; ka4 = aby + fya; ka5 = abz - g + fza
+            ka6, ka7, ka8 = z9, z10, z11
+            if full:  # body rates through the Euler kinematics
+                if -1e-6 < cth < 1e-6: cth = 1e-6 if cth >= 0.0 else -1e-6
+                swq = sph * z10 + cph * z11
+                ka6 = z9 + sth / cth * swq; ka7 = cph * z10 - sph * z11; ka8 = swq / cth
+            ka9 = c1 * z10 * z11 + u1 + txa; ka10 = c2 * z9 * z11 + u2 + tya
+            ka11 = c3 * z9 * z10 + u3 + tza
+            sb3 = z3 + h2 * ka3; sb4 = z4 + h2 * ka4; sb5 = z5 + h2 * ka5
+            sb6 = z6 + h2 * ka6; sb7 = z7 + h2 * ka7; sb8 = z8 + h2 * ka8
+            sb9 = z9 + h2 * ka9; sb10 = z10 + h2 * ka10; sb11 = z11 + h2 * ka11
+            if hgdo:
+                mp = z9 + nw0; mq = z10 + nw1; mr = z11 + nw2
+                ka12 = nie1 * (z12 + (z3 + nv0) * ie1 + abx)
+                ka13 = nie1 * (z13 + (z4 + nv1) * ie1 + aby)
+                ka14 = nie1 * (z14 + (z5 + nv2) * ie1 + abz - g)
+                ka15 = nie2 * (z15 + mp * ie2 + c1 * mq * mr + u1)
+                ka16 = nie2 * (z16 + mq * ie2 + c2 * mp * mr + u2)
+                ka17 = nie2 * (z17 + mr * ie2 + c3 * mp * mq + u3)
+                sb12 = z12 + h2 * ka12; sb13 = z13 + h2 * ka13; sb14 = z14 + h2 * ka14
+                sb15 = z15 + h2 * ka15; sb16 = z16 + h2 * ka16; sb17 = z17 + h2 * ka17
+
+            # stage 2 at sb, time tt + h/2
+            sph = sin(sb6); cph = cos(sb6); sth = sin(sb7)
+            cth = cos(sb7); sps = sin(sb8); cps = cos(sb8)
+            cs = cph * sth; abz = a * (cph * cth)
+            abx = a * (cs * cps + sph * sps); aby = a * (cs * sps - sph * cps)
+            if has_slow:
+                fxb, fyb, fzb, txb, tyb, tzb = stage_sums(
+                    base, tt + h2, (z0 + h2 * z3, z1 + h2 * z4, z2 + h2 * z5))
+            kb3 = abx + fxb; kb4 = aby + fyb; kb5 = abz - g + fzb
+            kb6, kb7, kb8 = sb9, sb10, sb11
+            if full:
+                if -1e-6 < cth < 1e-6: cth = 1e-6 if cth >= 0.0 else -1e-6
+                swq = sph * sb10 + cph * sb11
+                kb6 = sb9 + sth / cth * swq; kb7 = cph * sb10 - sph * sb11; kb8 = swq / cth
+            kb9 = c1 * sb10 * sb11 + u1 + txb; kb10 = c2 * sb9 * sb11 + u2 + tyb
+            kb11 = c3 * sb9 * sb10 + u3 + tzb
+            sc3 = z3 + h2 * kb3; sc4 = z4 + h2 * kb4; sc5 = z5 + h2 * kb5
+            sc6 = z6 + h2 * kb6; sc7 = z7 + h2 * kb7; sc8 = z8 + h2 * kb8
+            sc9 = z9 + h2 * kb9; sc10 = z10 + h2 * kb10; sc11 = z11 + h2 * kb11
+            if hgdo:
+                mp = sb9 + nw0; mq = sb10 + nw1; mr = sb11 + nw2
+                kb12 = nie1 * (sb12 + (sb3 + nv0) * ie1 + abx)
+                kb13 = nie1 * (sb13 + (sb4 + nv1) * ie1 + aby)
+                kb14 = nie1 * (sb14 + (sb5 + nv2) * ie1 + abz - g)
+                kb15 = nie2 * (sb15 + mp * ie2 + c1 * mq * mr + u1)
+                kb16 = nie2 * (sb16 + mq * ie2 + c2 * mp * mr + u2)
+                kb17 = nie2 * (sb17 + mr * ie2 + c3 * mp * mq + u3)
+                sc12 = z12 + h2 * kb12; sc13 = z13 + h2 * kb13; sc14 = z14 + h2 * kb14
+                sc15 = z15 + h2 * kb15; sc16 = z16 + h2 * kb16; sc17 = z17 + h2 * kb17
+
+            # stage 3 at sc, time tt + h/2
+            sph = sin(sc6); cph = cos(sc6); sth = sin(sc7)
+            cth = cos(sc7); sps = sin(sc8); cps = cos(sc8)
+            cs = cph * sth; abz = a * (cph * cth)
+            abx = a * (cs * cps + sph * sps); aby = a * (cs * sps - sph * cps)
+            if has_slow:
+                fxb, fyb, fzb, txb, tyb, tzb = stage_sums(
+                    base, tt + h2, (z0 + h2 * sb3, z1 + h2 * sb4, z2 + h2 * sb5))
+            kc3 = abx + fxb; kc4 = aby + fyb; kc5 = abz - g + fzb
+            kc6, kc7, kc8 = sc9, sc10, sc11
+            if full:
+                if -1e-6 < cth < 1e-6: cth = 1e-6 if cth >= 0.0 else -1e-6
+                swq = sph * sc10 + cph * sc11
+                kc6 = sc9 + sth / cth * swq; kc7 = cph * sc10 - sph * sc11; kc8 = swq / cth
+            kc9 = c1 * sc10 * sc11 + u1 + txb; kc10 = c2 * sc9 * sc11 + u2 + tyb
+            kc11 = c3 * sc9 * sc10 + u3 + tzb
+            sd3 = z3 + h * kc3; sd4 = z4 + h * kc4; sd5 = z5 + h * kc5
+            sd6 = z6 + h * kc6; sd7 = z7 + h * kc7; sd8 = z8 + h * kc8
+            sd9 = z9 + h * kc9; sd10 = z10 + h * kc10; sd11 = z11 + h * kc11
+            if hgdo:
+                mp = sc9 + nw0; mq = sc10 + nw1; mr = sc11 + nw2
+                kc12 = nie1 * (sc12 + (sc3 + nv0) * ie1 + abx)
+                kc13 = nie1 * (sc13 + (sc4 + nv1) * ie1 + aby)
+                kc14 = nie1 * (sc14 + (sc5 + nv2) * ie1 + abz - g)
+                kc15 = nie2 * (sc15 + mp * ie2 + c1 * mq * mr + u1)
+                kc16 = nie2 * (sc16 + mq * ie2 + c2 * mp * mr + u2)
+                kc17 = nie2 * (sc17 + mr * ie2 + c3 * mp * mq + u3)
+                sd12 = z12 + h * kc12; sd13 = z13 + h * kc13; sd14 = z14 + h * kc14
+                sd15 = z15 + h * kc15; sd16 = z16 + h * kc16; sd17 = z17 + h * kc17
+
+            # stage 4 at sd, time tt + h
+            sph = sin(sd6); cph = cos(sd6); sth = sin(sd7)
+            cth = cos(sd7); sps = sin(sd8); cps = cos(sd8)
+            cs = cph * sth; abz = a * (cph * cth)
+            abx = a * (cs * cps + sph * sps); aby = a * (cs * sps - sph * cps)
+            if has_slow:
+                fxc, fyc, fzc, txc, tyc, tzc = stage_sums(
+                    base, tt + h, (z0 + h * sc3, z1 + h * sc4, z2 + h * sc5))
+            kd3 = abx + fxc; kd4 = aby + fyc; kd5 = abz - g + fzc
+            kd6, kd7, kd8 = sd9, sd10, sd11
+            if full:
+                if -1e-6 < cth < 1e-6: cth = 1e-6 if cth >= 0.0 else -1e-6
+                swq = sph * sd10 + cph * sd11
+                kd6 = sd9 + sth / cth * swq; kd7 = cph * sd10 - sph * sd11; kd8 = swq / cth
+            kd9 = c1 * sd10 * sd11 + u1 + txc; kd10 = c2 * sd9 * sd11 + u2 + tyc
+            kd11 = c3 * sd9 * sd10 + u3 + tzc
+            if hgdo:
+                mp = sd9 + nw0; mq = sd10 + nw1; mr = sd11 + nw2
+                kd12 = nie1 * (sd12 + (sd3 + nv0) * ie1 + abx)
+                kd13 = nie1 * (sd13 + (sd4 + nv1) * ie1 + aby)
+                kd14 = nie1 * (sd14 + (sd5 + nv2) * ie1 + abz - g)
+                kd15 = nie2 * (sd15 + mp * ie2 + c1 * mq * mr + u1)
+                kd16 = nie2 * (sd16 + mq * ie2 + c2 * mp * mr + u2)
+                kd17 = nie2 * (sd17 + mr * ie2 + c3 * mp * mq + u3)
+
+            # positions first: they read the old velocities
+            z0 += h6 * (z3 + 2.0 * (sb3 + sc3) + sd3)
+            z1 += h6 * (z4 + 2.0 * (sb4 + sc4) + sd4)
+            z2 += h6 * (z5 + 2.0 * (sb5 + sc5) + sd5)
+            z3 += h6 * (ka3 + 2.0 * (kb3 + kc3) + kd3)
+            z4 += h6 * (ka4 + 2.0 * (kb4 + kc4) + kd4)
+            z5 += h6 * (ka5 + 2.0 * (kb5 + kc5) + kd5)
+            z6 += h6 * (ka6 + 2.0 * (kb6 + kc6) + kd6)
+            z7 += h6 * (ka7 + 2.0 * (kb7 + kc7) + kd7)
+            z8 += h6 * (ka8 + 2.0 * (kb8 + kc8) + kd8)
+            z9 += h6 * (ka9 + 2.0 * (kb9 + kc9) + kd9)
+            z10 += h6 * (ka10 + 2.0 * (kb10 + kc10) + kd10)
+            z11 += h6 * (ka11 + 2.0 * (kb11 + kc11) + kd11)
+            if hgdo:
+                z12 += h6 * (ka12 + 2.0 * (kb12 + kc12) + kd12)
+                z13 += h6 * (ka13 + 2.0 * (kb13 + kc13) + kd13)
+                z14 += h6 * (ka14 + 2.0 * (kb14 + kc14) + kd14)
+                z15 += h6 * (ka15 + 2.0 * (kb15 + kc15) + kd15)
+                z16 += h6 * (ka16 + 2.0 * (kb16 + kc16) + kd16)
+                z17 += h6 * (ka17 + 2.0 * (kb17 + kc17) + kd17)
+            tt += h
+        return (z0, z1, z2, z3, z4, z5, z6, z7, z8, z9, z10, z11,
+                z12, z13, z14, z15, z16, z17)
+
+    return advance
 
 
 def run_scenario(cfg: ScenarioConfig, params: VehicleParams | None = None,
@@ -199,9 +405,11 @@ def run_scenario(cfg: ScenarioConfig, params: VehicleParams | None = None,
     leaves the flight envelope or stops being finite.
 
     Besides the settings of the run, trace.meta carries wall_time and the
-    work counters: base_steps, rk4_substeps, rhs_calls (4 per substep) and
-    outer_ticks. On a Diverged trace they count the steps taken, the
-    diverging one included.
+    work counters: base_steps, rk4_substeps, rhs_calls (4 per substep),
+    outer_ticks and pregrid_rows (rows of the deterministic disturbance
+    grid, 2 * n_sub * base_steps + 1, or 0 when the run builds none). On a
+    Diverged trace they count the steps taken, the diverging one included;
+    pregrid_rows still counts the whole grid, built before the first step.
 
     Everything that runs once per tick (observer, controller, allocation)
     works on Python floats and float tuples, in a fixed operation order:
@@ -231,8 +439,8 @@ def run_scenario(cfg: ScenarioConfig, params: VehicleParams | None = None,
     capx, capy, capz = (float(v) for v in tau_cap)
     thrust_cap = gn.thrust_cap(p)
 
-    _bind_stochastic(cfg.force_signals, cfg.seed, 0)
-    _bind_stochastic(cfg.torque_signals, cfg.seed, 1)
+    _bind_stochastic(cfg.force_signals, cfg.seed, 0, dt)
+    _bind_stochastic(cfg.torque_signals, cfg.seed, 1, dt)
     stoch_f = [s if s.stochastic else None for s in cfg.force_signals]
     stoch_t = [s if s.stochastic else None for s in cfg.torque_signals]
     have_stoch = any(s is not None for s in stoch_f + stoch_t)
@@ -295,89 +503,26 @@ def run_scenario(cfg: ScenarioConfig, params: VehicleParams | None = None,
 
     sin = math.sin
     cos = math.cos
-    full_plant = cfg.plant == "full"
 
     # Every RK4 stage lands on the half-substep grid, so pure-time
     # deterministic signals are evaluated for the whole run in one
-    # vectorized pass. Position-dependent ones (ground effect) fall back
-    # to per-stage closures; the two paths never mix per signal.
+    # vectorized pass. Position-dependent ones (ground effect) are evaluated
+    # per stage instead; the two paths never mix per signal.
     det_all = list(cfg.force_signals) + list(cfg.torque_signals)
+    det = [j for j, s in enumerate(det_all) if not (s.stochastic or isinstance(s, Zero))]
     slow = [None] * 6
     grid = None
-    if any((not s.stochastic) and s.needs_position for s in det_all):
-        for j, s in enumerate(det_all):
-            if not s.stochastic:
-                slow[j] = _signal_closure(s)
-    else:
-        cols = None
-        for j, s in enumerate(det_all):
-            if s.stochastic or isinstance(s, Zero):
-                continue
-            if cols is None:
-                tgrid = np.arange(2 * n_sub * n_base + 1) * (0.5 * h)
-                cols = np.zeros((tgrid.size, 6))
-            cols[:, j] = s.value(tgrid)
-        if cols is not None:
-            grid = cols.tolist()
+    if any(det_all[j].needs_position for j in det):
+        for j in det:
+            slow[j] = det_all[j].value
+    elif det:
+        tgrid = np.arange(2 * n_sub * n_base + 1) * (0.5 * h)
+        cols = np.zeros((tgrid.size, 6))
+        for j in det:
+            cols[:, j] = det_all[j].value(tgrid)
+        grid = cols.tolist()
     sfx, sfy, sfz, stx_, sty_, stz_ = slow
-    has_slow = any(c is not None for c in slow)
-    ZERO6 = (0.0,) * 6
-
-    def rhs(tt, s, dv):
-        (px, py, pz, vx, vy, vz, ph, th, ps,
-         wp, wq, wr, g1x, g1y, g1z, g2x, g2y, g2z) = s
-        sph = sin(ph); cph = cos(ph)
-        sth = sin(th); cth = cos(th)
-        sps = sin(ps); cps = cos(ps)
-        bx = cph * sth * cps + sph * sps
-        by = cph * sth * sps - sph * cps
-        bz = cph * cth
-        a = H[0]
-        dfx = H[10] + dv[0]
-        dfy = H[11] + dv[1]
-        dfz = H[12] + dv[2]
-        dtx = H[13] + dv[3]
-        dty = H[14] + dv[4]
-        dtz = H[15] + dv[5]
-        if has_slow:
-            pos = (px, py, pz)
-            if sfx is not None: dfx += sfx(tt, pos)
-            if sfy is not None: dfy += sfy(tt, pos)
-            if sfz is not None: dfz += sfz(tt, pos)
-            if stx_ is not None: dtx += stx_(tt, pos)
-            if sty_ is not None: dty += sty_(tt, pos)
-            if stz_ is not None: dtz += stz_(tt, pos)
-        vxd = a * bx + dfx
-        vyd = a * by + dfy
-        vzd = a * bz - g + dfz
-        if full_plant:
-            # wp..wr are body rates mapped through the Euler kinematics
-            if -1e-6 < cth < 1e-6:
-                cth = 1e-6 if cth >= 0.0 else -1e-6
-            swq = sph * wq + cph * wr
-            phd = wp + sth / cth * swq
-            thd = cph * wq - sph * wr
-            psd = swq / cth
-        else:
-            phd = wp
-            thd = wq
-            psd = wr
-        wpd = c1 * wq * wr + H[1] + dtx
-        wqd = c2 * wp * wr + H[2] + dty
-        wrd = c3 * wp * wq + H[3] + dtz
-        if use_hgdo:
-            mvx = vx + H[4]; mvy = vy + H[5]; mvz = vz + H[6]
-            g1xd = -ie1 * (g1x + mvx * ie1 + a * bx)
-            g1yd = -ie1 * (g1y + mvy * ie1 + a * by)
-            g1zd = -ie1 * (g1z + mvz * ie1 + a * bz - g)
-            mwp = wp + H[7]; mwq = wq + H[8]; mwr = wr + H[9]
-            g2xd = -ie2 * (g2x + mwp * ie2 + c1 * mwq * mwr + H[1])
-            g2yd = -ie2 * (g2y + mwq * ie2 + c2 * mwp * mwr + H[2])
-            g2zd = -ie2 * (g2z + mwr * ie2 + c3 * mwp * mwq + H[3])
-        else:
-            g1xd = g1yd = g1zd = g2xd = g2yd = g2zd = 0.0
-        return (vx, vy, vz, vxd, vyd, vzd, phd, thd, psd, wpd, wqd, wrd,
-                g1xd, g1yd, g1zd, g2xd, g2yd, g2zd)
+    advance = build_stepper(cfg, p, n_sub, h, grid, slow)
 
     data = np.empty((n_base + 1, len(TRACE_COLUMNS)))
     meta = {
@@ -395,6 +540,7 @@ def run_scenario(cfg: ScenarioConfig, params: VehicleParams | None = None,
             "base_steps": steps, "rk4_substeps": steps * n_sub,
             "rhs_calls": 4 * n_sub * steps,
             "outer_ticks": (rows + outer_div - 1) // outer_div,
+            "pregrid_rows": len(grid) if grid is not None else 0,
         }
 
     def partial(k, message):
@@ -404,8 +550,6 @@ def run_scenario(cfg: ScenarioConfig, params: VehicleParams | None = None,
 
     carry_flags = 0
     twon = 2 * n_sub
-    h2 = 0.5 * h
-    h6 = h / 6.0
     trajectory = cfg.trajectory
     allocate = cfg.allocate
     for k in range(n_base + 1):
@@ -575,63 +719,7 @@ def run_scenario(cfg: ScenarioConfig, params: VehicleParams | None = None,
         H[2] = ta1 / jy
         H[3] = ta2 / jz
 
-        # classical RK4, unrolled: the tuple comprehensions this replaces
-        # cost about a third of a run
-        kg = k * twon
-        tt = t
-        for j in range(n_sub):
-            if grid is not None:
-                ib = kg + 2 * j
-                dva = grid[ib]
-                dvb = grid[ib + 1]
-                dvc = grid[ib + 2]
-            else:
-                dva = dvb = dvc = ZERO6
-            (z0, z1, z2, z3, z4, z5, z6, z7, z8, z9,
-             z10, z11, z12, z13, z14, z15, z16, z17) = y
-            (a0, a1, a2, a3, a4, a5, a6, a7, a8, a9,
-             a10, a11, a12, a13, a14, a15, a16, a17) = rhs(tt, y, dva)
-            sb = (z0 + h2 * a0, z1 + h2 * a1, z2 + h2 * a2, z3 + h2 * a3,
-                  z4 + h2 * a4, z5 + h2 * a5, z6 + h2 * a6, z7 + h2 * a7,
-                  z8 + h2 * a8, z9 + h2 * a9, z10 + h2 * a10, z11 + h2 * a11,
-                  z12 + h2 * a12, z13 + h2 * a13, z14 + h2 * a14,
-                  z15 + h2 * a15, z16 + h2 * a16, z17 + h2 * a17)
-            tm = tt + h2
-            (b0, b1, b2, b3, b4, b5, b6, b7, b8, b9,
-             b10, b11, b12, b13, b14, b15, b16, b17) = rhs(tm, sb, dvb)
-            sc = (z0 + h2 * b0, z1 + h2 * b1, z2 + h2 * b2, z3 + h2 * b3,
-                  z4 + h2 * b4, z5 + h2 * b5, z6 + h2 * b6, z7 + h2 * b7,
-                  z8 + h2 * b8, z9 + h2 * b9, z10 + h2 * b10, z11 + h2 * b11,
-                  z12 + h2 * b12, z13 + h2 * b13, z14 + h2 * b14,
-                  z15 + h2 * b15, z16 + h2 * b16, z17 + h2 * b17)
-            (c0, c1_, c2_, c3_, c4, c5, c6, c7, c8, c9,
-             c10, c11, c12, c13, c14, c15, c16, c17) = rhs(tm, sc, dvb)
-            sd = (z0 + h * c0, z1 + h * c1_, z2 + h * c2_, z3 + h * c3_,
-                  z4 + h * c4, z5 + h * c5, z6 + h * c6, z7 + h * c7,
-                  z8 + h * c8, z9 + h * c9, z10 + h * c10, z11 + h * c11,
-                  z12 + h * c12, z13 + h * c13, z14 + h * c14,
-                  z15 + h * c15, z16 + h * c16, z17 + h * c17)
-            (e0, e1_, e2_, e3, e4, e5, e6, e7, e8, e9,
-             e10, e11, e12, e13, e14, e15, e16, e17) = rhs(tt + h, sd, dvc)
-            y = (z0 + h6 * (a0 + 2.0 * (b0 + c0) + e0),
-                 z1 + h6 * (a1 + 2.0 * (b1 + c1_) + e1_),
-                 z2 + h6 * (a2 + 2.0 * (b2 + c2_) + e2_),
-                 z3 + h6 * (a3 + 2.0 * (b3 + c3_) + e3),
-                 z4 + h6 * (a4 + 2.0 * (b4 + c4) + e4),
-                 z5 + h6 * (a5 + 2.0 * (b5 + c5) + e5),
-                 z6 + h6 * (a6 + 2.0 * (b6 + c6) + e6),
-                 z7 + h6 * (a7 + 2.0 * (b7 + c7) + e7),
-                 z8 + h6 * (a8 + 2.0 * (b8 + c8) + e8),
-                 z9 + h6 * (a9 + 2.0 * (b9 + c9) + e9),
-                 z10 + h6 * (a10 + 2.0 * (b10 + c10) + e10),
-                 z11 + h6 * (a11 + 2.0 * (b11 + c11) + e11),
-                 z12 + h6 * (a12 + 2.0 * (b12 + c12) + e12),
-                 z13 + h6 * (a13 + 2.0 * (b13 + c13) + e13),
-                 z14 + h6 * (a14 + 2.0 * (b14 + c14) + e14),
-                 z15 + h6 * (a15 + 2.0 * (b15 + c15) + e15),
-                 z16 + h6 * (a16 + 2.0 * (b16 + c16) + e16),
-                 z17 + h6 * (a17 + 2.0 * (b17 + c17) + e17))
-            tt += h
+        y = advance(y, H, k, t)
 
         total = math.fsum(y[0:12])
         if not math.isfinite(total):

@@ -1,13 +1,17 @@
 """Closed-loop engine tests: determinism, equilibria, refinement, guards."""
 
+import dataclasses
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from hgdosim.config import load_scenario
 from hgdosim.disturbances import (
     CompositeSinusoid,
     Constant,
+    DrydenFilter,
     DrydenGust,
     GroundEffect,
 )
@@ -20,12 +24,14 @@ from hgdosim.sim import (
     Diverged,
     ScenarioConfig,
     SimTrace,
+    build_stepper,
     lyapunov_value,
     run_scenario,
 )
 from hgdosim.trajectories import HoverRamp, Lemniscate
 
 HOLD = np.array([0.0, 0.0, 0.5])
+SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
 
 def hold_cfg(**kw):
@@ -77,8 +83,24 @@ class TestTraceShape:
         assert steps == 250
         assert tr.meta["counters"] == {
             "base_steps": steps, "rk4_substeps": 2 * steps,
-            "rhs_calls": 4 * 2 * steps, "outer_ticks": 84,
+            "rhs_calls": 4 * 2 * steps, "outer_ticks": 84, "pregrid_rows": 0,
         }
+
+    @pytest.mark.parametrize("signals, gridded", [
+        ((None, None, Constant(0.5)), True),
+        ((CompositeSinusoid(), None, None), True),
+        ((None, None, None), False),
+        ((None, None, GroundEffect()), False),          # evaluated per stage
+        ((DrydenGust("u"), None, None), False),         # held per base step
+        ((CompositeSinusoid(), None, GroundEffect()), False),
+    ])
+    def test_pregrid_rows(self, signals, gridded):
+        # the grid holds every half substep: 2 * n_sub rows per base step,
+        # plus the final instant
+        tr = run_scenario(hold_cfg(duration=0.2, substeps=3, force_signals=signals))
+        steps = len(tr) - 1
+        want = 2 * 3 * steps + 1 if gridded else 0
+        assert tr.meta["counters"]["pregrid_rows"] == want
 
 
 class TestEquilibrium:
@@ -207,6 +229,7 @@ class TestGuards:
         assert tr.meta["counters"] == {
             "base_steps": len(tr), "rk4_substeps": n_sub * len(tr),
             "rhs_calls": 4 * n_sub * len(tr), "outer_ticks": len(tr),
+            "pregrid_rows": 2 * n_sub * 5000 + 1,  # built for the whole run
         }
 
     def test_uz_floor_flag_raised(self):
@@ -294,3 +317,120 @@ class TestIntegratorOrder:
         e1, e2 = final_error(16), final_error(32)
         order = math.log2(e1 / e2)
         assert order >= 3.8
+
+
+def reference_rhs(y, H, dist, p, eps1, eps2, full, hgdo):
+    """The model's right-hand side on numpy arrays, written from the
+    equations: dist is the six-channel deterministic disturbance at the
+    stage (force x, y, z, torque x, y, z), added to the held H[10:16]."""
+    vel, att, rate = y[3:6], y[6:9], y[9:12]
+    a, tau, nv, nw = H[0], H[1:4], H[4:7], H[7:10]
+    d = H[10:16] + dist
+    ph, th, ps = att
+    b = np.array([math.cos(ph) * math.sin(th) * math.cos(ps) + math.sin(ph) * math.sin(ps),
+                  math.cos(ph) * math.sin(th) * math.sin(ps) - math.sin(ph) * math.cos(ps),
+                  math.cos(ph) * math.cos(th)])
+    gvec = np.array([0.0, 0.0, p.g])
+    c = np.array([(p.jy - p.jz) / p.jx, (p.jz - p.jx) / p.jy, (p.jx - p.jy) / p.jz])
+
+    def cross_terms(w):
+        return c * np.array([w[1] * w[2], w[0] * w[2], w[0] * w[1]])
+
+    if full:
+        euler = np.array([
+            [1.0, math.sin(ph) * math.tan(th), math.cos(ph) * math.tan(th)],
+            [0.0, math.cos(ph), -math.sin(ph)],
+            [0.0, math.sin(ph) / math.cos(th), math.cos(ph) / math.cos(th)],
+        ])
+        att_dot = euler @ rate
+    else:
+        att_dot = rate
+    out = np.concatenate([vel, a * b - gvec + d[:3], att_dot,
+                          cross_terms(rate) + tau + d[3:], np.zeros(6)])
+    if hgdo:
+        mw = rate + nw
+        out[12:15] = -(1.0 / eps1) * (y[12:15] + (vel + nv) / eps1 + a * b - gvec)
+        out[15:18] = -(1.0 / eps2) * (y[15:18] + mw / eps2 + cross_terms(mw) + tau)
+    return out
+
+
+class TestStepperOracle:
+    """One base step of the fused kernel against the generic RK4 over the
+    reference right-hand side: the differential oracle for the engine."""
+
+    @pytest.mark.parametrize("plant", ["canonical", "full"])
+    @pytest.mark.parametrize("observer", ["hgdo", "none"])
+    @pytest.mark.parametrize("disturbance", ["held", "grid", "per_stage"])
+    def test_base_step_matches_rk4_reference(self, plant, observer, disturbance):
+        rng = np.random.default_rng(11)
+        p = MICRO_QUAD
+        n_sub, dt, k = 3, 0.002, 4
+        h = dt / n_sub
+        t = k * dt
+        cfg = ScenarioConfig(epsilon1=0.05, epsilon2=0.08, observer=observer,
+                             plant=plant, substeps=n_sub)
+        grid = slow = None
+        if disturbance == "grid":
+            grid = rng.normal(0.0, 1.0, (2 * n_sub * (k + 1) + 1, 6)).tolist()
+        if disturbance == "per_stage":
+            slow = [None, lambda tt, pos: 0.3 * pos[2] + math.sin(5.0 * tt),
+                    None, None, None, lambda tt, pos: pos[0] * pos[1] - tt]
+        advance = build_stepper(cfg, p, n_sub, h, grid, slow or [None] * 6)
+
+        def dist(tt, pos):
+            if grid is not None:
+                return np.array(grid[k * 2 * n_sub + round((tt - t) / (0.5 * h))])
+            if slow is not None:
+                return np.array([0.0 if f is None else f(tt, pos) for f in slow])
+            return np.zeros(6)
+
+        for _ in range(20):
+            y = np.concatenate([rng.uniform(-1.0, 1.0, 6), rng.uniform(-0.5, 0.5, 3),
+                                rng.uniform(-2.0, 2.0, 3), rng.uniform(-50.0, 50.0, 6)])
+            H = np.concatenate([[rng.uniform(5.0, 15.0)], rng.normal(0.0, 1.0, 3),
+                                rng.normal(0.0, 0.1, 6), rng.normal(0.0, 0.5, 6)])
+            want = y.copy()
+            for j in range(n_sub):
+                want = rk4_step(lambda tt, s: reference_rhs(
+                    s, H, dist(tt, s[:3]), p, cfg.epsilon1, cfg.epsilon2,
+                    plant == "full", observer == "hgdo"), t + j * h, want, h)
+            got = advance(tuple(y.tolist()), H.tolist(), k, t)
+            assert type(got) is tuple and len(got) == 18
+            assert all(type(v) is float for v in got)
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+            if observer != "hgdo":   # nothing reads gamma, so it is not integrated
+                assert got[12:] == tuple(y[12:].tolist())
+
+
+class TestDrydenFollowsRunDt:
+    """A run discretizes its Dryden filters at its own dt, not at the dt the
+    signal was built with."""
+
+    def test_filter_rediscretized_when_dt_changes(self):
+        cfg = load_scenario(SCENARIO_DIR / "dryden_lemniscate.json")
+        fine = dataclasses.replace(cfg, dt=0.001, duration=0.01)
+        run_scenario(fine)
+        for sig in cfg.force_signals:
+            ref = DrydenFilter(sig.filter.axis, 1.11, 0.5, 2.0, 0.001)
+            assert sig.filter.dt == 0.001
+            assert np.array_equal(sig.filter.ad, ref.ad)
+            assert np.array_equal(sig.filter.bd, ref.bd)
+            assert np.array_equal(sig.filter.c, ref.c)
+        run_scenario(dataclasses.replace(cfg, duration=0.01))
+        assert all(sig.filter.dt == 0.002 for sig in cfg.force_signals)
+
+    @pytest.mark.parametrize("dt", [0.001, 0.002])
+    def test_sample_variance_matches_stationary_variance(self, dt):
+        cfg = load_scenario(SCENARIO_DIR / "dryden_lemniscate.json")
+        run_scenario(dataclasses.replace(cfg, dt=dt, duration=0.01))
+        gust = cfg.force_signals[2]          # the 'w' filter, bound by the run
+        target = gust.accel_gain ** 2 * DrydenFilter("w", 1.11, 0.5, 2.0, dt).stationary_variance()
+        n = 300_000
+        acc = acc2 = 0.0
+        advance = gust.advance
+        for _ in range(n):
+            v = advance(0.0, dt)
+            acc += v
+            acc2 += v * v
+        var = acc2 / n - (acc / n) ** 2
+        assert abs(var - target) / target < 0.05, f"{var} vs {target}"

@@ -211,6 +211,8 @@ def metrics_report(trace: SimTrace, skip: float = 0.0) -> dict:
             "steps": max(len(trace) - 1, 0),
         },
     }
+    if "counters" in trace.meta:     # a trace read back from CSV has none
+        report["runtime"]["counters"] = dict(trace.meta["counters"])
     # One derivative-L1 evaluation feeds both checks; signals without a
     # pathwise derivative (stochastic, noisy or position-dependent) get neither.
     deltas = None

@@ -53,6 +53,13 @@ _DIVERGE_RATE = 500.0
 
 OBSERVERS = ("hgdo", "naive", "none")
 
+# base steps whose disturbance-grid and noise rows the step loop converts to
+# Python floats at a time; the float64 arrays stay whole for the run
+_BLOCK = 256
+# the held noise of a noise-free run; it is still added to the measured
+# states, since -0.0 + 0.0 is +0.0 and the trace records the sign
+_NO_NOISE = (0.0,) * 6
+
 
 class Diverged(RuntimeError):
     """State left the plausible flight envelope; carries the partial trace."""
@@ -185,16 +192,18 @@ def _bind_stochastic(signals, seed: int, domain: int, dt: float):
                 np.random.SeedSequence([seed, int(stream_seed), axis, domain])))
 
 
-def build_stepper(cfg: ScenarioConfig, p: VehicleParams, n_sub: int, h: float,
-                  grid, slow):
-    """Return advance(y, H, k, t): state y moved on by the base step from t = k * dt.
+def build_stepper(cfg: ScenarioConfig, p: VehicleParams, n_sub: int, h: float, slow):
+    """Return advance(y, H, rows, ib, t): state y moved on by the base step from t.
 
     y is the 18-float state (pos, vel, att, rate, gamma1, gamma2). H holds
     what is held over the step: [a_thrust, tau_x/jx, tau_y/jy, tau_z/jz,
     6x noise, 3x stoch force, 3x stoch torque]. Deterministic disturbances
-    come from grid (rows on the half-substep grid, 2 * n_sub per base step)
-    or, with no grid, from slow: per channel a Signal.value called at every
-    stage with the stage position, or None.
+    come from rows, a block of the run's pre-evaluated grid as lists of six
+    floats on the half-substep grid (2 * n_sub rows per base step), read
+    from rows[ib] (time t) to rows[ib + 2 * n_sub] (time t + dt). With
+    rows None they come from slow instead: per channel a Signal.value called
+    at every stage with the stage position, or None. The kernel keeps no
+    reference to rows, so a run holds only the block it is stepping through.
 
     One call runs all n_sub classical RK4 substeps of length h, the four
     stages written out on local floats. Every operation keeps its grouping
@@ -214,7 +223,6 @@ def build_stepper(cfg: ScenarioConfig, p: VehicleParams, n_sub: int, h: float,
     hgdo = cfg.observer == "hgdo"
     live = [(i, f) for i, f in enumerate(slow) if f is not None]
     has_slow = bool(live)
-    twon = 2 * n_sub
     h2 = 0.5 * h
     h6 = h / 6.0
     sin = math.sin
@@ -226,32 +234,31 @@ def build_stepper(cfg: ScenarioConfig, p: VehicleParams, n_sub: int, h: float,
             out[i] += f(tt, pos)
         return out
 
-    def advance(y, H, k, t):
+    def advance(y, H, rows, ib, t):
         (z0, z1, z2, z3, z4, z5, z6, z7, z8, z9, z10, z11,
          z12, z13, z14, z15, z16, z17) = y
         (a, u1, u2, u3, nv0, nv1, nv2, nw0, nw1, nw2,
          hf0, hf1, hf2, ht0, ht1, ht2) = H
         # held plus deterministic disturbance per channel at a substep's
         # start (a), midpoint (b) and end (c); c carries over to the next a
-        if grid is None:
+        if rows is None:
             fxa = fxb = fxc = hf0 + 0.0; fya = fyb = fyc = hf1 + 0.0
             fza = fzb = fzc = hf2 + 0.0; txa = txb = txc = ht0 + 0.0
             tya = tyb = tyc = ht1 + 0.0; tza = tzb = tzc = ht2 + 0.0
             base = (fxa, fya, fza, txa, tya, tza)
         else:
-            ib = k * twon
-            d0, d1, d2, d3, d4, d5 = grid[ib]
+            d0, d1, d2, d3, d4, d5 = rows[ib]
             fxc = hf0 + d0; fyc = hf1 + d1; fzc = hf2 + d2
             txc = ht0 + d3; tyc = ht1 + d4; tzc = ht2 + d5
         tt = t
         for _ in range(n_sub):
-            if grid is not None:
+            if rows is not None:
                 fxa, fya, fza = fxc, fyc, fzc
                 txa, tya, tza = txc, tyc, tzc
-                d0, d1, d2, d3, d4, d5 = grid[ib + 1]
+                d0, d1, d2, d3, d4, d5 = rows[ib + 1]
                 fxb = hf0 + d0; fyb = hf1 + d1; fzb = hf2 + d2
                 txb = ht0 + d3; tyb = ht1 + d4; tzb = ht2 + d5
-                d0, d1, d2, d3, d4, d5 = grid[ib + 2]
+                d0, d1, d2, d3, d4, d5 = rows[ib + 2]
                 fxc = hf0 + d0; fyc = hf1 + d1; fzc = hf2 + d2
                 txc = ht0 + d3; tyc = ht1 + d4; tzc = ht2 + d5
                 ib += 2
@@ -414,6 +421,12 @@ def run_scenario(cfg: ScenarioConfig, params: VehicleParams | None = None,
     Everything that runs once per tick (observer, controller, allocation)
     works on Python floats and float tuples, in a fixed operation order:
     the traces depend on every bit of it.
+
+    Besides the trace, a run holds its pre-evaluated disturbance grid and
+    its measurement noise (none when noise_power is 0) as float64 arrays,
+    and as Python floats only the rows of the block of _BLOCK (256) base
+    steps it is stepping through; adjacent grid blocks share their boundary
+    row.
     """
     p = params or cfg.vehicle or MICRO_QUAD
     gn = gains or cfg.gains or DEFAULT_GAINS
@@ -448,6 +461,7 @@ def run_scenario(cfg: ScenarioConfig, params: VehicleParams | None = None,
     lam10, lam11, lam12 = (float(v) for v in gn.lam1)
     lam20, lam21, lam22 = (float(v) for v in gn.lam2)
 
+    noise = None
     if cfg.noise_power > 0.0:
         # sample variance, not spectral density: each held sensor sample has
         # variance noise_power regardless of the base rate
@@ -456,9 +470,6 @@ def run_scenario(cfg: ScenarioConfig, params: VehicleParams | None = None,
         for ch in range(6):
             rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 97, ch]))
             noise[:, ch] = rng.normal(0.0, sigma, n_base + 1)
-    else:
-        noise = np.zeros((n_base + 1, 6))
-    noise_rows = noise.tolist()
 
     # state tuple: pos, vel, att, rate, gamma1, gamma2
     g1 = hgdo_init(cfg.vel0, cfg.epsilon1, cfg.d_hat0_force).gamma
@@ -517,12 +528,12 @@ def run_scenario(cfg: ScenarioConfig, params: VehicleParams | None = None,
             slow[j] = det_all[j].value
     elif det:
         tgrid = np.arange(2 * n_sub * n_base + 1) * (0.5 * h)
-        cols = np.zeros((tgrid.size, 6))
+        grid = np.zeros((tgrid.size, 6))
         for j in det:
-            cols[:, j] = det_all[j].value(tgrid)
-        grid = cols.tolist()
+            grid[:, j] = det_all[j].value(tgrid)
+        del tgrid
     sfx, sfy, sfz, stx_, sty_, stz_ = slow
-    advance = build_stepper(cfg, p, n_sub, h, grid, slow)
+    advance = build_stepper(cfg, p, n_sub, h, slow)
 
     data = np.empty((n_base + 1, len(TRACE_COLUMNS)))
     meta = {
@@ -552,9 +563,21 @@ def run_scenario(cfg: ScenarioConfig, params: VehicleParams | None = None,
     twon = 2 * n_sub
     trajectory = cfg.trajectory
     allocate = cfg.allocate
+    nk = _NO_NOISE
+    k_next = 0    # first base step of the next block
     for k in range(n_base + 1):
         t = k * dt
-        nk = noise_rows[k]
+        if k == k_next:
+            rows = noise_rows = None    # free one block before converting the next
+            k0 = k
+            k_next = k + _BLOCK
+            if grid is not None:
+                rows = grid[k * twon:k_next * twon + 1].tolist()
+            if noise is not None:
+                noise_rows = noise[k:k_next].tolist()
+        ib = (k - k0) * twon
+        if noise is not None:
+            nk = noise_rows[k - k0]
         px, py, pz, vx, vy, vz, ph, th, ps, wp, wq, wr = y[0:12]
         if have_stoch:
             pos_now = (px, py, pz)
@@ -671,8 +694,8 @@ def run_scenario(cfg: ScenarioConfig, params: VehicleParams | None = None,
         s2y = ed2y + lam21 * e2y
         s2z = ed2z + lam22 * e2z
 
-        if grid is not None:
-            gr = grid[k * twon]
+        if rows is not None:
+            gr = rows[ib]
             d1tx = H[10] + gr[0]
             d1ty = H[11] + gr[1]
             d1tz = H[12] + gr[2]
@@ -719,7 +742,7 @@ def run_scenario(cfg: ScenarioConfig, params: VehicleParams | None = None,
         H[2] = ta1 / jy
         H[3] = ta2 / jz
 
-        y = advance(y, H, k, t)
+        y = advance(y, H, rows, ib, t)
 
         total = math.fsum(y[0:12])
         if not math.isfinite(total):

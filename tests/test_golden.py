@@ -1,7 +1,7 @@
 """Golden trace hashes: short runs on a seed the benchmark references skip.
 
-Each case is a shipped scenario cut to one second at seed 7, changed only by
-dataclasses.replace. The SHA-256 of trace.data.tobytes() pins every bit of
+Each case is a shipped scenario cut to one second (unless the case names
+another duration) at seed 7, changed only by dataclasses.replace. The SHA-256 of trace.data.tobytes() pins every bit of
 every column, so a rewrite that reorders one floating-point operation, or
 turns a -0.0 into +0.0, fails here. The cases cover the per-tick paths the
 engine has: all three observers under measurement noise with a 5:1 outer
@@ -10,7 +10,10 @@ forcing, the per-stage closure path of a position-dependent signal, the full
 plant, and the run without rotor allocation. Four more cases cover the fused
 RK4 kernel's branches: 16 substeps per tick (eps 0.0025), all six channels
 pre-gridded at 4 substeps, the per-stage closure path under the naive
-observer, and the full plant under measurement noise.
+observer, and the full plant under measurement noise. Three three-second
+cases (1500 base steps) cross several of the engine's row blocks and end
+part way into one: the composite disturbance pre-gridded at 4 substeps, the
+noise-free hgdo run, and the naive observer under measurement noise.
 
 A change that alters the numerics on purpose re-records these hashes (run
 each case and print the digest) and says so in its description.
@@ -50,6 +53,11 @@ CASES = {
     "lemniscate_composite": ("lemniscate_composite", {}),
     "ground_effect-naive": ("ground_effect", dict(observer="naive")),
     "hover_step-full-noise": ("hover_step", dict(plant="full", noise_power=1e-2)),
+    "lemniscate_composite-3s": ("lemniscate_composite", dict(duration=3.0)),
+    "noise_study-hgdo-p0-3s": ("noise_study", dict(duration=3.0, observer="hgdo",
+                                                   noise_power=0.0)),
+    "noise_study-naive-3s": ("noise_study", dict(duration=3.0, observer="naive",
+                                                 noise_power=1e-2)),
 }
 
 GOLDEN = {
@@ -66,6 +74,9 @@ GOLDEN = {
     "lemniscate_composite": "97298c094d4686be2cb0c66082ac372508d94959eebcefc9f5d54af67356014e",
     "ground_effect-naive": "633eb681b3d7e2bb263070c3244f9dce37df6a702f3dfdf675107ce02f08add2",
     "hover_step-full-noise": "cc633c6af84e5366dbe5b24c8f993389423ef33730bab9e6fd7f7e107968891c",
+    "lemniscate_composite-3s": "0395d1a901e31ef27445d9b1d0d9649630f4fffbed06ad5380788b4e21794b25",
+    "noise_study-hgdo-p0-3s": "5ddb8b83a6a27a0c0a25cffdb5769871ecbab29ce1c7e33bccbe2b1a86cb9436",
+    "noise_study-naive-3s": "721d115969a84c58b023b1163bf909c76b22c9f4d16396ce1115a2f69cd84bf3",
 }
 
 
@@ -118,9 +129,9 @@ def test_libm_fingerprint():
 def test_trace_hash_unchanged(case):
     name, fields = CASES[case]
     cfg = dataclasses.replace(load_scenario(SCENARIO_DIR / f"{name}.json"),
-                              duration=1.0, seed=7, **fields)
+                              **{"duration": 1.0, "seed": 7, **fields})
     trace = run_scenario(cfg)
-    assert len(trace) == 501
+    assert len(trace) == round(cfg.duration / cfg.dt) + 1
     if hashlib.sha256(trace.data.tobytes()).hexdigest() != GOLDEN[case]:
         fp = libm_fingerprint()
         differ = sorted(k for k in LIBM if fp[k] != LIBM[k])

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from hgdosim import metrics
+from hgdosim.config import validate_metrics
 from hgdosim.disturbances import (
     CompositeSinusoid,
     Constant,
@@ -15,6 +16,7 @@ from hgdosim.disturbances import (
     GroundEffect,
     Signal,
 )
+from hgdosim.emit import emit_csv, read_csv
 from hgdosim.metrics import (
     BoundResult,
     EmptyTrace,
@@ -204,6 +206,30 @@ class TestMetricsReport:
         assert report["bound_check"] is not None
         parsed = json.loads(json.dumps(report))
         assert parsed["rms_tracking"]["x"] == report["rms_tracking"]["x"]
+
+    def test_runtime_carries_work_counters(self):
+        cfg = hold_cfg(duration=0.5, force_signals=(Constant(0.3), None, None))
+        trace = run_scenario(cfg)
+        report = metrics_report(trace)
+        validate_metrics(json.loads(json.dumps(report)))
+        counters = report["runtime"]["counters"]
+        assert counters == trace.meta["counters"]
+        assert set(counters) == {"base_steps", "rk4_substeps", "rhs_calls",
+                                 "outer_ticks", "pregrid_rows"}
+        assert counters["base_steps"] == report["runtime"]["steps"] == 250
+
+    def test_report_without_counters_validates(self, tmp_path):
+        # a trace read back from CSV has no counters (nor the run settings,
+        # which the schema requires, so those are put back by hand)
+        cfg = hold_cfg(duration=0.5, force_signals=(Constant(0.3), None, None))
+        trace = run_scenario(cfg)
+        emit_csv(trace, tmp_path / "trace.csv")
+        back = read_csv(tmp_path / "trace.csv")
+        assert "counters" not in back.meta
+        settings = {k: v for k, v in trace.meta.items() if k != "counters"}
+        report = metrics_report(SimTrace(back.data, {**back.meta, **settings}))
+        assert "counters" not in report["runtime"]
+        validate_metrics(json.loads(json.dumps(report)))
 
     def test_deltas_computed_once_for_both_checks(self, monkeypatch):
         cfg = hold_cfg(force_signals=(CompositeSinusoid(), None, None))

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -369,17 +370,18 @@ class TestStepperOracle:
         t = k * dt
         cfg = ScenarioConfig(epsilon1=0.05, epsilon2=0.08, observer=observer,
                              plant=plant, substeps=n_sub)
-        grid = slow = None
+        rows = slow = None
+        ib = k * 2 * n_sub    # the step's first row in the block
         if disturbance == "grid":
-            grid = rng.normal(0.0, 1.0, (2 * n_sub * (k + 1) + 1, 6)).tolist()
+            rows = rng.normal(0.0, 1.0, (ib + 2 * n_sub + 1, 6)).tolist()
         if disturbance == "per_stage":
             slow = [None, lambda tt, pos: 0.3 * pos[2] + math.sin(5.0 * tt),
                     None, None, None, lambda tt, pos: pos[0] * pos[1] - tt]
-        advance = build_stepper(cfg, p, n_sub, h, grid, slow or [None] * 6)
+        advance = build_stepper(cfg, p, n_sub, h, slow or [None] * 6)
 
         def dist(tt, pos):
-            if grid is not None:
-                return np.array(grid[k * 2 * n_sub + round((tt - t) / (0.5 * h))])
+            if rows is not None:
+                return np.array(rows[ib + round((tt - t) / (0.5 * h))])
             if slow is not None:
                 return np.array([0.0 if f is None else f(tt, pos) for f in slow])
             return np.zeros(6)
@@ -394,7 +396,7 @@ class TestStepperOracle:
                 want = rk4_step(lambda tt, s: reference_rhs(
                     s, H, dist(tt, s[:3]), p, cfg.epsilon1, cfg.epsilon2,
                     plant == "full", observer == "hgdo"), t + j * h, want, h)
-            got = advance(tuple(y.tolist()), H.tolist(), k, t)
+            got = advance(tuple(y.tolist()), H.tolist(), rows, ib, t)
             assert type(got) is tuple and len(got) == 18
             assert all(type(v) is float for v in got)
             np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
@@ -434,3 +436,25 @@ class TestDrydenFollowsRunDt:
             acc2 += v * v
         var = acc2 / n - (acc / n) ** 2
         assert abs(var - target) / target < 0.05, f"{var} vs {target}"
+
+
+class TestMemory:
+    def test_held_rows_do_not_grow_with_duration(self):
+        # Besides its trace and the float64 grid (6 doubles per row), a run
+        # holds one block of rows as Python floats, whatever its length.
+        # Holding the whole grid and a zero noise table as lists would add
+        # about 0.9 kB per base step here: 0.6 MB between these durations.
+        cfg = load_scenario(SCENARIO_DIR / "noise_study.json")
+        extra = []
+        for duration in (0.5, 2.0):       # 250 and 1000 base steps
+            run = dataclasses.replace(cfg, duration=duration, noise_power=0.0)
+            tracemalloc.start()
+            try:
+                tr = run_scenario(run)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            grid_bytes = 6 * 8 * tr.meta["counters"]["pregrid_rows"]
+            assert grid_bytes > 0
+            extra.append(peak - tr.data.nbytes - grid_bytes)
+        assert extra[1] - extra[0] < 100_000, extra

@@ -443,7 +443,7 @@ class TestMemory:
         # Besides its trace and the float64 grid (6 doubles per row), a run
         # holds one block of rows as Python floats, whatever its length.
         # Holding the whole grid and a zero noise table as lists would add
-        # about 0.9 kB per base step here: 0.6 MB between these durations.
+        # about 0.8 kB per base step here: 0.6 MB between these durations.
         cfg = load_scenario(SCENARIO_DIR / "noise_study.json")
         extra = []
         for duration in (0.5, 2.0):       # 250 and 1000 base steps

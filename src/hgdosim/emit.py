@@ -12,7 +12,6 @@ import math
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
-from xml.sax.saxutils import escape
 
 import numpy as np
 
@@ -133,6 +132,13 @@ def _fmt(v: float) -> str:
     return f"{v:.4g}"
 
 
+def _escape(text: str) -> str:
+    """Escape &, > and < for SVG text, in that order, as
+    `xml.sax.saxutils.escape` does; importing that module would pull in
+    urllib, http, email and ssl."""
+    return text.replace("&", "&amp;").replace(">", "&gt;").replace("<", "&lt;")
+
+
 def _panel_svg(panel: Panel, width: float, height: float, y0: float,
                max_points: int) -> list:
     x_all = [_decimate(np.asarray(s.x, dtype=float), max_points) for s in panel.series]
@@ -152,28 +158,28 @@ def _panel_svg(panel: Panel, width: float, height: float, y0: float,
            f'height="{py1 - py0:.1f}" fill="white" stroke="#333"/>']
     out.append(f'<text x="{(px0 + px1) / 2:.1f}" y="{y0 + 19:.1f}" '
                f'text-anchor="middle" font-size="14" font-weight="bold">'
-               f'{escape(panel.title)}</text>')
+               f'{_escape(panel.title)}</text>')
 
     for tick in np.linspace(x_lo, x_hi, 5):
         tx = sx(tick)
         out.append(f'<line x1="{tx:.1f}" y1="{py1:.1f}" x2="{tx:.1f}" '
                    f'y2="{py1 + 4:.1f}" stroke="#333"/>')
         out.append(f'<text x="{tx:.1f}" y="{py1 + 17:.1f}" text-anchor="middle" '
-                   f'font-size="11">{escape(_fmt(tick))}</text>')
+                   f'font-size="11">{_escape(_fmt(tick))}</text>')
     for tick in np.linspace(y_lo, y_hi, 5):
         ty = sy(tick)
         out.append(f'<line x1="{px0 - 4:.1f}" y1="{ty:.1f}" x2="{px0:.1f}" '
                    f'y2="{ty:.1f}" stroke="#333"/>')
         out.append(f'<text x="{px0 - 7:.1f}" y="{ty + 4:.1f}" text-anchor="end" '
-                   f'font-size="11">{escape(_fmt(tick))}</text>')
+                   f'font-size="11">{_escape(_fmt(tick))}</text>')
     if panel.xlabel:
         out.append(f'<text x="{(px0 + px1) / 2:.1f}" y="{py1 + 33:.1f}" '
-                   f'text-anchor="middle" font-size="12">{escape(panel.xlabel)}</text>')
+                   f'text-anchor="middle" font-size="12">{_escape(panel.xlabel)}</text>')
     if panel.ylabel:
         cx, cy = px0 - 48.0, (py0 + py1) / 2.0
         out.append(f'<text x="{cx:.1f}" y="{cy:.1f}" text-anchor="middle" '
                    f'font-size="12" transform="rotate(-90 {cx:.1f} {cy:.1f})">'
-                   f'{escape(panel.ylabel)}</text>')
+                   f'{_escape(panel.ylabel)}</text>')
 
     for i, (sxs, sys_, s) in enumerate(zip(x_all, y_all, panel.series)):
         color = _PALETTE[i % len(_PALETTE)]
@@ -187,7 +193,7 @@ def _panel_svg(panel: Panel, width: float, height: float, y0: float,
         out.append(f'<line x1="{lx:.1f}" y1="{ly - 4:.1f}" x2="{lx + 22:.1f}" '
                    f'y2="{ly - 4:.1f}" stroke="{color}" stroke-width="2"{dash}/>')
         out.append(f'<text x="{lx + 27:.1f}" y="{ly:.1f}" font-size="11">'
-                   f'{escape(s.label)}</text>')
+                   f'{_escape(s.label)}</text>')
     return out
 
 

@@ -244,6 +244,27 @@ def _variant_cfg(base: ScenarioConfig, label: str, observer: str,
     return dataclasses.replace(base, **fields)
 
 
+def _sweep_variant(cfg: ScenarioConfig, shared: Sequence[str],
+                   d_ref: np.ndarray | None, skip: float) -> tuple:
+    """Run one sweep variant and return its row and its shared true-d columns.
+
+    The trace lives only inside this call, so it is freed before the next
+    variant runs.
+    """
+    trace = run_scenario(cfg)
+    d_true = trace.cols(*shared)
+    if d_ref is not None and not np.array_equal(d_ref, d_true):
+        raise RealizationMismatch(
+            "sweep variants saw different disturbance realizations; "
+            "check for position-gated stochastic signals")
+    row = {
+        "rms_tracking": rms_errors(trace, skip),
+        "rms_estimation": rms_estimation(trace, skip),
+        "wall_time": trace.meta.get("wall_time"),
+    }
+    return row, d_true
+
+
 def sweep(base: ScenarioConfig, epsilons: Sequence[float],
           include_smc_only: bool = True, skip: float = 0.0) -> dict:
     """Run the observer-gain sweep plus an optional no-observer baseline.
@@ -253,6 +274,10 @@ def sweep(base: ScenarioConfig, epsilons: Sequence[float],
     channel except those driven by a deterministic position-dependent signal
     (ground effect), which differ by design because each variant flies its
     own path. A mismatch on any other channel raises RealizationMismatch.
+
+    The variants run one after another and a sweep holds one trace at a
+    time: each is dropped once its row is taken. The realization reference
+    is a copy of the shared `d*_true` columns, not a view into a trace.
     """
     variants = [(f"eps={e:g}", base.observer if base.observer != "none" else "hgdo", e)
                 for e in epsilons]
@@ -265,22 +290,9 @@ def sweep(base: ScenarioConfig, epsilons: Sequence[float],
     rows = []
     d_ref = None
     for label, observer, eps in variants:
-        trace = run_scenario(_variant_cfg(base, label, observer, eps))
-        d_true = trace.cols(*shared)
-        if d_ref is None:
-            d_ref = d_true
-        elif not np.array_equal(d_ref, d_true):
-            raise RealizationMismatch(
-                "sweep variants saw different disturbance realizations; "
-                "check for position-gated stochastic signals")
-        rows.append({
-            "label": label,
-            "observer": observer,
-            "epsilon": eps,
-            "rms_tracking": rms_errors(trace, skip),
-            "rms_estimation": rms_estimation(trace, skip),
-            "wall_time": trace.meta.get("wall_time"),
-        })
+        row, d_ref = _sweep_variant(_variant_cfg(base, label, observer, eps),
+                                    shared, d_ref, skip)
+        rows.append({"label": label, "observer": observer, "epsilon": eps, **row})
 
     table = {
         ch: {row["label"]: row["rms_tracking"][ch] for row in rows}

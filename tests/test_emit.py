@@ -2,13 +2,19 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
+from pathlib import Path
+from xml.sax.saxutils import escape
 
 import numpy as np
 import pytest
 
 from hgdosim.config import validate_metrics
 from hgdosim.disturbances import CompositeSinusoid, Constant
+import hgdosim
 from hgdosim.emit import (
     EmitError,
     Panel,
@@ -19,6 +25,7 @@ from hgdosim.emit import (
     plot_estimates,
     plot_timeseries,
     plot_xy,
+    _escape,
     read_csv,
 )
 from hgdosim.metrics import metrics_report
@@ -193,6 +200,30 @@ class TestSvg:
     def test_no_panels_rejected(self, tmp_path):
         with pytest.raises(ValueError):
             emit_svg([], tmp_path / "x.svg")
+
+
+class TestEscape:
+    @pytest.mark.parametrize("text", [
+        "", "plain", "a & b", "x < y > z", "<&>", "&amp; stays &amp;amp;",
+        "&lt;b&gt;", "\"double\" and 'single'", "d1x_true > 0 & eps < 0.01",
+    ])
+    def test_matches_saxutils(self, text):
+        assert _escape(text) == escape(text)
+
+
+class TestImportFootprint:
+    def test_import_loads_no_network_stack(self):
+        # xml.sax.saxutils imports urllib.request, and with it http.client,
+        # email and ssl: several MB of RSS in every run
+        heavy = ("ssl", "http.client", "urllib.request", "email")
+        code = (f"import sys, hgdosim; "
+                f"print(*[m for m in {heavy!r} if m in sys.modules])")
+        src = str(Path(hgdosim.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, check=True)
+        assert proc.stdout.split() == []
 
 
 class TestPlotBuilders:

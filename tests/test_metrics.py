@@ -3,12 +3,14 @@
 import dataclasses
 import json
 import math
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from hgdosim import metrics
-from hgdosim.config import validate_metrics
+from hgdosim.config import load_scenario, validate_metrics
 from hgdosim.disturbances import (
     CompositeSinusoid,
     Constant,
@@ -38,6 +40,7 @@ from hgdosim.sim import TRACE_COLUMNS, ScenarioConfig, SimTrace, run_scenario
 from hgdosim.trajectories import HoverRamp, Lemniscate
 
 HOLD = np.array([0.0, 0.0, 0.5])
+SCENARIO_DIR = Path(__file__).resolve().parents[1] / "scenarios"
 
 
 def make_trace(t, meta=None, **columns):
@@ -314,6 +317,22 @@ class TestSweep:
                         force_signals=(PositionNoise(), None, None))
         with pytest.raises(RealizationMismatch, match="realization"):
             sweep(base, [0.01, 0.08], include_smc_only=False)
+
+    def test_holds_one_trace_at_a_time(self):
+        # A variant's trace is freed before the next variant runs. Past the
+        # trace that the peak run builds, the peak here is about 0.56 of a
+        # trace; keeping the previous variant's trace alive puts it near 1.3.
+        base = dataclasses.replace(
+            load_scenario(SCENARIO_DIR / "dryden_lemniscate.json"), duration=2.0)
+        trace_bytes = run_scenario(base).data.nbytes
+        tracemalloc.start()
+        try:
+            out = sweep(base, [0.04, 0.08], include_smc_only=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(out["variants"]) == 3
+        assert (peak - trace_bytes) / trace_bytes < 0.75, peak / trace_bytes
 
 
 class TestCompare:

@@ -245,7 +245,7 @@ def _variant_cfg(base: ScenarioConfig, label: str, observer: str,
 
 
 def _sweep_variant(cfg: ScenarioConfig, shared: Sequence[str],
-                   d_ref: np.ndarray | None, skip: float) -> tuple:
+                   d_ref: np.ndarray | None, skip: float) -> tuple[dict, np.ndarray]:
     """Run one sweep variant and return its row and its shared true-d columns.
 
     The trace lives only inside this call, so it is freed before the next

@@ -12,20 +12,20 @@ from xml.sax.saxutils import escape
 import numpy as np
 import pytest
 
+import hgdosim
 from hgdosim.config import validate_metrics
 from hgdosim.disturbances import CompositeSinusoid, Constant
-import hgdosim
 from hgdosim.emit import (
     EmitError,
     Panel,
     Series,
+    _escape,
     emit_csv,
     emit_json,
     emit_svg,
     plot_estimates,
     plot_timeseries,
     plot_xy,
-    _escape,
     read_csv,
 )
 from hgdosim.metrics import metrics_report

@@ -3,19 +3,24 @@
 A document must carry `"schema": "hgdosim-scenario-1"` and may only use known
 keys; anything else is rejected up front with the offending JSON path, so a
 typo in a gain name fails loudly instead of silently running defaults.
+
+The schemas are checked by a small validator in this module. It implements
+the JSON Schema 2020-12 keywords the two shipped schemas use, and it picks
+the error to report as `jsonschema.exceptions.best_match` does. A schema that
+uses any other keyword is refused when it is loaded.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
+import re
 from functools import lru_cache
 from importlib import resources
+from numbers import Number
 from pathlib import Path
 
-import jsonschema
 import numpy as np
-from jsonschema.exceptions import best_match
 
 from .control import SmcGains
 from .disturbances import (
@@ -42,10 +47,62 @@ class ConfigError(ValueError):
     """Configuration rejected; the message carries the JSON path."""
 
 
+_REF = "#/$defs/"
+_ANNOTATIONS = frozenset({"$schema", "$id", "title"})
+_KEYWORDS = frozenset({
+    "$ref", "type", "enum", "const", "properties", "required",
+    "additionalProperties", "items", "minItems", "maxItems", "minLength",
+    "minimum", "exclusiveMinimum", "oneOf", "not"})
+# JSON Schema's types as jsonschema checks them: a bool is neither a number
+# nor an integer, and a float with no fractional part is an integer.
+_TYPES = {
+    "array": lambda x: isinstance(x, list),
+    "boolean": lambda x: isinstance(x, bool),
+    "integer": lambda x: ((isinstance(x, int) and not isinstance(x, bool))
+                          or (isinstance(x, float) and x.is_integer())),
+    "null": lambda x: x is None,
+    "number": lambda x: isinstance(x, Number) and not isinstance(x, bool),
+    "object": lambda x: isinstance(x, dict),
+    "string": lambda x: isinstance(x, str),
+}
+_PLAIN_KEY = re.compile("^[a-zA-Z][a-zA-Z0-9_]*$")
+
+
+def _check_schema(schema, root=None, where="#") -> None:
+    """Raise ValueError if `schema` uses anything the validator does not implement."""
+    root = schema if root is None else root
+    if not isinstance(schema, dict):
+        raise ValueError(f"schema at {where} must be an object")
+    for kw, val in schema.items():
+        at = f"{where}/{kw}"
+        if kw == "properties" or (kw == "$defs" and where == "#"):
+            for name, sub in val.items():
+                _check_schema(sub, root, f"{at}/{name}")
+        elif kw in ("items", "not") or (kw == "additionalProperties" and val is not False):
+            _check_schema(val, root, at)
+        elif kw == "oneOf":
+            for i, sub in enumerate(val):
+                _check_schema(sub, root, f"{at}/{i}")
+        elif kw == "$ref":
+            if not (isinstance(val, str) and val.startswith(_REF)
+                    and val[len(_REF):] in root.get("$defs", {})):
+                raise ValueError(f"unsupported $ref {val!r} at {where}")
+        elif kw == "type":
+            if not set([val] if isinstance(val, str) else val) <= _TYPES.keys():
+                raise ValueError(f"unknown type {val!r} at {at}")
+        elif kw in ("enum", "const"):
+            if not all(isinstance(v, str) for v in (val if kw == "enum" else [val])):
+                raise ValueError(f"only string values are supported at {at}")
+        elif kw not in _KEYWORDS and kw not in _ANNOTATIONS:
+            raise ValueError(f"unsupported schema keyword {kw!r} at {where}")
+
+
 @lru_cache(maxsize=None)
 def _schema(name: str) -> dict:
     text = resources.files("hgdosim").joinpath(f"schemas/{name}").read_text()
-    return json.loads(text)
+    schema = json.loads(text)
+    _check_schema(schema)
+    return schema
 
 
 def scenario_schema() -> dict:
@@ -56,11 +113,156 @@ def metrics_schema() -> dict:
     return _schema("metrics.schema.json")
 
 
-def _validate(doc, schema, label: str):
-    validator = jsonschema.Draft202012Validator(schema)
-    err = best_match(validator.iter_errors(doc))
-    if err is not None:
-        raise ConfigError(f"{label} at {err.json_path}: {err.message}")
+class _Error:
+    """One failed keyword: its path (from the document root, or for a oneOf
+    branch's error from the oneOf's instance), its message, and what
+    `_relevance` needs to rank it."""
+
+    __slots__ = ("message", "context", "path", "keyword", "schema", "instance")
+
+    def __init__(self, message: str, context=()):
+        self.message, self.context = message, context
+        self.path = []
+        self.keyword = None
+
+
+def _errors(inst, schema: dict, root: dict):
+    for kw, val in schema.items():
+        for err in _keyword_errors(kw, val, inst, schema, root):
+            if err.keyword is None:
+                err.keyword, err.schema, err.instance = kw, schema, inst
+            yield err
+
+
+def _descend(inst, schema: dict, root: dict, key):
+    for err in _errors(inst, schema, root):
+        err.path.insert(0, key)
+        yield err
+
+
+def _valid(inst, schema: dict, root: dict) -> bool:
+    return next(_errors(inst, schema, root), None) is None
+
+
+def _keyword_errors(kw, val, inst, schema, root):
+    if kw == "$ref":
+        yield from _errors(inst, root["$defs"][val[len(_REF):]], root)
+    elif kw == "type":
+        types = [val] if isinstance(val, str) else val
+        if not any(_TYPES[t](inst) for t in types):
+            yield _Error(f"{inst!r} is not of type {', '.join(map(repr, types))}")
+    elif kw == "enum":
+        if not (isinstance(inst, str) and inst in val):
+            yield _Error(f"{inst!r} is not one of {val!r}")
+    elif kw == "const":
+        if not (isinstance(inst, str) and inst == val):
+            yield _Error(f"{val!r} was expected")
+    elif kw == "minimum":
+        # NaN compares false, so it passes, as in jsonschema
+        if _TYPES["number"](inst) and inst < val:
+            yield _Error(f"{inst!r} is less than the minimum of {val!r}")
+    elif kw == "exclusiveMinimum":
+        if _TYPES["number"](inst) and inst <= val:
+            yield _Error(f"{inst!r} is less than or equal to the minimum of {val!r}")
+    elif kw == "minLength":
+        if isinstance(inst, str) and len(inst) < val:
+            yield _Error(f"{inst!r} {'should be non-empty' if val == 1 else 'is too short'}")
+    elif kw == "minItems":
+        if isinstance(inst, list) and len(inst) < val:
+            yield _Error(f"{inst!r} {'should be non-empty' if val == 1 else 'is too short'}")
+    elif kw == "maxItems":
+        if isinstance(inst, list) and len(inst) > val:
+            yield _Error(f"{inst!r} {'is expected to be empty' if val == 0 else 'is too long'}")
+    elif kw == "items":
+        if isinstance(inst, list):
+            for i, item in enumerate(inst):
+                yield from _descend(item, val, root, i)
+    elif kw == "properties":
+        if isinstance(inst, dict):
+            for name, sub in val.items():
+                if name in inst:
+                    yield from _descend(inst[name], sub, root, name)
+    elif kw == "required":
+        if isinstance(inst, dict):
+            for name in val:
+                if name not in inst:
+                    yield _Error(f"{name!r} is a required property")
+    elif kw == "additionalProperties":
+        if isinstance(inst, dict):
+            known = schema.get("properties", {})
+            extras = [name for name in inst if name not in known]
+            if val is not False:
+                for name in extras:
+                    yield from _descend(inst[name], val, root, name)
+            elif extras:
+                names = ", ".join(map(repr, sorted(extras, key=str)))
+                verb = "was" if len(extras) == 1 else "were"
+                yield _Error(f"Additional properties are not allowed ({names} {verb} unexpected)")
+    elif kw == "oneOf":
+        branches = iter(val)
+        context = []
+        for sub in branches:
+            errs = list(_errors(inst, sub, root))
+            if not errs:
+                first_valid = sub
+                break
+            context.extend(errs)
+        else:
+            yield _Error(f"{inst!r} is not valid under any of the given schemas", context)
+            return
+        more = [sub for sub in branches if _valid(inst, sub, root)]
+        if more:
+            reprs = ", ".join(map(repr, more + [first_valid]))
+            yield _Error(f"{inst!r} is valid under each of {reprs}")
+    elif kw == "not":
+        if _valid(inst, val, root):
+            yield _Error(f"{inst!r} should not be valid under {val!r}")
+
+
+def _relevance(err: _Error):
+    # jsonschema's `relevance` key: shallow errors first, then the later
+    # sibling, then anything but a oneOf, then an error whose schema's type
+    # the instance does not even match
+    types = err.schema.get("type", ())
+    types = [types] if isinstance(types, str) else types
+    return (-len(err.path), err.path, err.keyword != "oneOf",
+            not any(_TYPES[t](err.instance) for t in types))
+
+
+def _best_error(doc, schema: dict) -> tuple[list, str] | None:
+    """The error `jsonschema.exceptions.best_match` would report, as (absolute path, message)."""
+    best = max(_errors(doc, schema, schema), key=_relevance, default=None)
+    if best is None:
+        return None
+    prefix = []
+    # a oneOf error stands for its branches' errors: descend to the most
+    # specific one, unless the two most specific are ranked equal
+    while best.context:
+        first, *rest = sorted(best.context, key=_relevance)[:2]
+        if rest and _relevance(first) == _relevance(rest[0]):
+            break
+        prefix += best.path
+        best = first
+    return prefix + best.path, best.message
+
+
+def _json_path(path: list) -> str:
+    out = "$"
+    for elem in path:
+        if isinstance(elem, int):
+            out += f"[{elem}]"
+        elif _PLAIN_KEY.match(elem):
+            out += "." + elem
+        else:
+            out += "['" + elem.replace("\\", "\\\\").replace("'", "\\'") + "']"
+    return out
+
+
+def _validate(doc, schema: dict, label: str) -> None:
+    found = _best_error(doc, schema)
+    if found is not None:
+        path, message = found
+        raise ConfigError(f"{label} at {_json_path(path)}: {message}")
 
 
 def validate_scenario(doc: dict) -> None:

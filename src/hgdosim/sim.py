@@ -34,7 +34,6 @@ from .control import (
     wrap_angle,
 )
 from .disturbances import Zero
-from .integrate import NonFinite, rk4_step  # re-exported for callers
 from .observers import DerivativeFilter, hgdo_init, naive_hgdo_step
 from .quad import MICRO_QUAD, VehicleParams, WrenchCommand, allocate_rotors, rotor_wrench
 from .trajectories import HoverRamp, Trajectory

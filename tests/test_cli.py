@@ -262,3 +262,19 @@ class TestUsage:
             main(["--help"])
         assert exc.value.code == 0
         assert "simulate" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "{bad}", "--out", "{out}"],
+        ["sweep", "{bad}", "--out", "{out}"],
+        ["compare", "{good}", "{bad}", "--out", "{out}"],
+        ["check-bounds", "{bad}"],
+    ], ids=lambda argv: argv[0])
+    def test_unknown_gain_key_exits_3_from_every_loader(self, tmp_path, capsys, argv):
+        paths = {"good": write_cfg(tmp_path, "good.json"),
+                 "bad": write_cfg(tmp_path, "bad.json", gains={"kp": [1.0, 1.0, 1.0]}),
+                 "out": tmp_path / "out"}
+        assert main([arg.format(**paths) for arg in argv]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and "at $.gains: " in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()

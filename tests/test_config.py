@@ -7,6 +7,7 @@ import pytest
 
 from hgdosim.config import (
     ConfigError,
+    _check_schema,
     build_scenario,
     load_scenario,
     metrics_schema,
@@ -70,6 +71,26 @@ class TestValidation:
     def test_schema_dicts_are_loadable(self):
         assert scenario_schema()["$id"] == "hgdosim-scenario-1"
         assert metrics_schema()["$id"] == "hgdosim-metrics-1"
+
+    @pytest.mark.parametrize("schema", [
+        {"type": "string", "pattern": "^a"},
+        {"properties": {"a": {"items": {"format": "date"}}}},
+        {"oneOf": [{"$ref": "other.json#/$defs/x"}]},
+        {"$ref": "#/definitions/x", "definitions": {"x": {}}},
+        {"$ref": "#/$defs/missing", "$defs": {}},
+        {"properties": {"a": {"$defs": {"x": {}}}}},
+        {"type": "decimal"},
+        {"const": 1},
+        {"additionalProperties": True},
+    ])
+    def test_unsupported_schema_is_refused(self, schema):
+        # a later schema edit must fail loudly, not be skipped by the validator
+        with pytest.raises(ValueError, match="at #"):
+            _check_schema(schema)
+
+    def test_shipped_schemas_use_only_supported_keywords(self):
+        _check_schema(scenario_schema())
+        _check_schema(metrics_schema())
 
 
 class TestBuild:

@@ -212,18 +212,33 @@ class TestEscape:
 
 
 class TestImportFootprint:
-    def test_import_loads_no_network_stack(self):
-        # xml.sax.saxutils imports urllib.request, and with it http.client,
-        # email and ssl: several MB of RSS in every run
-        heavy = ("ssl", "http.client", "urllib.request", "email")
-        code = (f"import sys, hgdosim; "
-                f"print(*[m for m in {heavy!r} if m in sys.modules])")
+    @staticmethod
+    def loaded(modules, code):
+        """Which of `modules` a fresh interpreter holds after running `code`."""
+        code += f"; print(*[m for m in {modules!r} if m in sys.modules])"
         src = str(Path(hgdosim.__file__).resolve().parents[1])
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
         proc = subprocess.run([sys.executable, "-c", code], env=env,
                               capture_output=True, text=True, check=True)
-        assert proc.stdout.split() == []
+        return proc.stdout.split()
+
+    def test_import_loads_no_network_stack(self):
+        # xml.sax.saxutils imports urllib.request, and with it http.client,
+        # email and ssl: several MB of RSS in every run
+        heavy = ("ssl", "http.client", "urllib.request", "email")
+        assert self.loaded(heavy, "import sys, hgdosim") == []
+
+    def test_load_and_validate_need_no_jsonschema(self):
+        # jsonschema and its dependencies cost about 85 ms and 4.7 MB per process
+        scenario = Path(__file__).resolve().parents[1] / "scenarios" / "hover_step.json"
+        code = ("import sys, dataclasses, hgdosim; "
+                "from hgdosim.config import validate_metrics; "
+                f"cfg = hgdosim.load_scenario({str(scenario)!r}); "
+                "cfg = dataclasses.replace(cfg, duration=0.05); "
+                "validate_metrics(hgdosim.metrics_report(hgdosim.run_scenario(cfg)))")
+        heavy = ("jsonschema", "referencing", "rpds", "attrs")
+        assert self.loaded(heavy, code) == []
 
 
 class TestPlotBuilders:

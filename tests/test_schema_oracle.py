@@ -65,8 +65,8 @@ UNKNOWN_KEY = "new key"     # not a plain name, so a path through it is quoted
 _DELETE = object()
 
 
-def _short(path, duration=0.2):
-    return dataclasses.replace(load_scenario(path), duration=duration)
+def _short(path):
+    return dataclasses.replace(load_scenario(path), duration=0.2)
 
 
 def _paths(node, path=()):

@@ -229,8 +229,24 @@ def _relevance(err: _Error):
             not any(_TYPES[t](err.instance) for t in types))
 
 
+def _kind_branch(err: _Error, root: dict):
+    """For a failed oneOf whose branches all pin `kind` with a const, the
+    errors of the branch the instance's own `kind` selects (None if it
+    selects none)."""
+    if not isinstance(err.instance, dict):
+        return None
+    branches = err.schema["oneOf"]
+    kinds = [b.get("properties", {}).get("kind", {}).get("const") for b in branches]
+    if None in kinds or err.instance.get("kind") not in kinds:
+        return None
+    return list(_errors(err.instance, branches[kinds.index(err.instance["kind"])], root))
+
+
 def _best_error(doc, schema: dict) -> tuple[list, str] | None:
-    """The error `jsonschema.exceptions.best_match` would report, as (absolute path, message)."""
+    """The error to report, as (absolute path, message): the one
+    `jsonschema.exceptions.best_match` picks, except that a oneOf whose
+    branches are told apart by `kind` descends into the selected branch's
+    errors only."""
     best = max(_errors(doc, schema, schema), key=_relevance, default=None)
     if best is None:
         return None
@@ -238,7 +254,8 @@ def _best_error(doc, schema: dict) -> tuple[list, str] | None:
     # a oneOf error stands for its branches' errors: descend to the most
     # specific one, unless the two most specific are ranked equal
     while best.context:
-        first, *rest = sorted(best.context, key=_relevance)[:2]
+        context = _kind_branch(best, schema) or best.context
+        first, *rest = sorted(context, key=_relevance)[:2]
         if rest and _relevance(first) == _relevance(rest[0]):
             break
         prefix += best.path

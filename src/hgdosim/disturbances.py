@@ -5,12 +5,15 @@ Deterministic test signals (constant, composite sinusoid), stochastic ones
 gate, ground-effect proxy), and the derivative L1 integral used by the
 estimation-bound check. Deterministic signals evaluate on scalars or arrays;
 stochastic signals advance an internal state once per simulation step and the
-sample is held until the next call.
+sample is held until the next call. The pure-time deterministic signals (zero,
+constant, composite, and their scaled and summed forms) are immutable values
+with an analytic derivative.
 """
 
 from __future__ import annotations
 
 import math
+import struct
 
 import numpy as np
 
@@ -30,26 +33,74 @@ class Signal:
     def value(self, t, pos=None):
         raise NotImplementedError
 
+    def derivative(self, t):
+        """d/dt of a pure-time signal, on scalars or arrays."""
+        raise NonDifferentiable(f"{type(self).__name__} defines no derivative")
+
     def discretize(self, dt):
         """Adapt to the step a run advances a stochastic signal by (no-op
         unless the signal was discretized for a fixed step)."""
 
 
-class Zero(Signal):
+def _exact(v):
+    # floats compare by their bits, so 0.0 and -0.0 differ
+    return struct.pack("<d", v) if isinstance(v, float) else v
+
+
+class _Spec(Signal):
+    """A signal that is a value: immutable, and equal to another of its type
+    whose fields are bit-identical, so equal signals can share one evaluation."""
+
+    _fields = ()
+
+    def __init__(self, *values):
+        for name, v in zip(self._fields, values, strict=True):
+            object.__setattr__(self, name, v)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __repr__(self):
+        args = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__name__}({args})"
+
+    def _key(self):
+        return tuple(_exact(getattr(self, f)) for f in self._fields)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash((type(self), self._key()))
+
+
+def _zero(t):
+    return np.zeros_like(t, dtype=float) if isinstance(t, np.ndarray) else 0.0
+
+
+class Zero(_Spec):
     def value(self, t, pos=None):
-        if isinstance(t, np.ndarray):
-            return np.zeros_like(t, dtype=float)
-        return 0.0
+        return _zero(t)
+
+    def derivative(self, t):
+        return _zero(t)
 
 
-class Constant(Signal):
+class Constant(_Spec):
+    _fields = ("level",)
+
     def __init__(self, level: float):
-        self.level = float(level)
+        super().__init__(float(level))
 
     def value(self, t, pos=None):
         if isinstance(t, np.ndarray):
             return np.full_like(t, self.level, dtype=float)
         return self.level
+
+    def derivative(self, t):
+        return _zero(t)
 
 
 # (amplitude, angular frequency, time offset) triples of the composite test
@@ -69,7 +120,7 @@ _COMPOSITE_TERMS = (
 COMPOSITE_BOUND = 0.625
 
 
-class CompositeSinusoid(Signal):
+class CompositeSinusoid(_Spec):
     """Eight incommensurate sinusoids plus a constant offset, scaled by 0.05.
 
     Mixes fast terms (4 Hz) down to ~100 s periods so an estimator sees both
@@ -87,18 +138,36 @@ class CompositeSinusoid(Signal):
             acc += a * math.sin(w * (t + t0))
         return 0.05 * acc
 
+    def derivative(self, t):
+        if isinstance(t, np.ndarray):
+            acc = np.zeros_like(t, dtype=float)
+            for a, w, t0 in _COMPOSITE_TERMS:
+                acc += (a * w) * np.cos(w * (t + t0))
+            return 0.05 * acc
+        return 0.05 * sum(a * w * math.cos(w * (t + t0)) for a, w, t0 in _COMPOSITE_TERMS)
 
-class Scaled(Signal):
+
+class Scaled(_Spec):
     """Pointwise gain on another signal."""
 
+    _fields = ("inner", "gain")
+
     def __init__(self, inner: Signal, gain: float):
-        self.inner = inner
-        self.gain = float(gain)
-        self.stochastic = inner.stochastic
-        self.needs_position = inner.needs_position
+        super().__init__(inner, float(gain))
+
+    @property
+    def stochastic(self):
+        return self.inner.stochastic
+
+    @property
+    def needs_position(self):
+        return self.inner.needs_position
 
     def value(self, t, pos=None):
         return self.gain * self.inner.value(t, pos)
+
+    def derivative(self, t):
+        return self.gain * self.inner.derivative(t)
 
     def bind(self, rng):
         self.inner.bind(rng)
@@ -110,17 +179,26 @@ class Scaled(Signal):
         return self.gain * self.inner.advance(t, dt, pos)
 
 
-class Sum(Signal):
+class Sum(_Spec):
     """Pointwise sum of deterministic signals."""
 
+    _fields = ("parts",)
+
     def __init__(self, parts):
-        self.parts = list(parts)
-        if any(p.stochastic for p in self.parts):
+        parts = tuple(parts)
+        if any(p.stochastic for p in parts):
             raise ValueError("Sum composes deterministic signals only")
-        self.needs_position = any(p.needs_position for p in self.parts)
+        super().__init__(parts)
+
+    @property
+    def needs_position(self):
+        return any(p.needs_position for p in self.parts)
 
     def value(self, t, pos=None):
         return sum(p.value(t, pos) for p in self.parts)
+
+    def derivative(self, t):
+        return sum(p.derivative(t) for p in self.parts)
 
 
 def white_noise(power: float, dt: float, rng, size=None):
@@ -336,10 +414,11 @@ class GroundEffect(Signal):
 
 
 def derivative_l1(signal: Signal, t0: float, t1: float, dt: float = 1e-4) -> float:
-    """Integral of |d/dt signal| over [t0, t1] by central differences.
+    """Integral of |d/dt signal| over [t0, t1]: the trapezoid rule on a grid
+    of step at most dt, over the signal's analytic derivative.
 
-    Only defined for deterministic, position-free signals; anything else
-    raises NonDifferentiable.
+    Only defined for deterministic, position-free signals with a
+    `derivative`; anything else raises NonDifferentiable.
     """
     if signal.stochastic or signal.needs_position:
         raise NonDifferentiable(f"{type(signal).__name__} has no pathwise derivative")
@@ -349,6 +428,4 @@ def derivative_l1(signal: Signal, t0: float, t1: float, dt: float = 1e-4) -> flo
         return 0.0
     n = max(2, int(math.ceil((t1 - t0) / dt)))
     ts = np.linspace(t0, t1, n + 1)
-    h = (t1 - t0) / n
-    deriv = (signal.value(ts + h) - signal.value(ts - h)) / (2.0 * h)
-    return float(np.trapezoid(np.abs(deriv), ts))
+    return float(np.trapezoid(np.abs(signal.derivative(ts)), ts))

@@ -184,8 +184,9 @@ def _panel_svg(panel: Panel, width: float, height: float, y0: float,
     for i, (sxs, sys_, s) in enumerate(zip(x_all, y_all, panel.series)):
         color = _PALETTE[i % len(_PALETTE)]
         dash = ' stroke-dasharray="6 4"' if s.dash else ""
-        pts = " ".join(f"{a:.2f},{b:.2f}"
-                       for a, b in zip(sx(sxs).tolist(), sy(sys_).tolist()))
+        xy = np.empty(2 * sxs.size)
+        xy[0::2], xy[1::2] = sx(sxs), sy(sys_)
+        pts = " ".join(["%.2f,%.2f"] * sxs.size) % tuple(xy.tolist())
         out.append(f'<polyline points="{pts}" fill="none" stroke="{color}" '
                    f'stroke-width="1.4"{dash}/>')
         ly = py0 + 14 + 15 * i

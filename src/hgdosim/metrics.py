@@ -124,12 +124,20 @@ def _stochastic_guard(cfg: ScenarioConfig | None):
 
 
 def signal_deltas(cfg: ScenarioConfig) -> np.ndarray:
-    """L1 norm of each disturbance channel's derivative over the run."""
+    """L1 norm of each disturbance channel's derivative over the run (the
+    paper's delta), from `derivative_l1` on the signal's analytic derivative.
+
+    Channels with equal signals share one evaluation. A stochastic or noisy
+    config raises StochasticDisturbance; a signal without a pathwise
+    derivative raises NonDifferentiable.
+    """
     _stochastic_guard(cfg)
-    out = []
-    for sig in tuple(cfg.force_signals) + tuple(cfg.torque_signals):
-        out.append(derivative_l1(sig, 0.0, cfg.duration))
-    return np.array(out)
+    signals = tuple(cfg.force_signals) + tuple(cfg.torque_signals)
+    out = np.empty(len(signals))
+    for j, sig in enumerate(signals):
+        first = signals.index(sig)
+        out[j] = derivative_l1(sig, 0.0, cfg.duration) if first == j else out[first]
+    return out
 
 
 def bound_check(trace: SimTrace, epsilon: float | None = None,

@@ -529,7 +529,9 @@ def run_scenario(cfg: ScenarioConfig, params: VehicleParams | None = None,
         tgrid = np.arange(2 * n_sub * n_base + 1) * (0.5 * h)
         grid = np.zeros((tgrid.size, 6))
         for j in det:
-            grid[:, j] = det_all[j].value(tgrid)
+            # equal signals share the column of the first one
+            first = det_all.index(det_all[j])
+            grid[:, j] = det_all[j].value(tgrid) if first == j else grid[:, first]
         del tgrid
     sfx, sfy, sfz, stx_, sty_, stz_ = slow
     advance = build_stepper(cfg, p, n_sub, h, slow)

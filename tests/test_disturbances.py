@@ -34,6 +34,10 @@ class Sine(Signal):
     def value(self, t, pos=None):
         return np.sin(self.w * t) if isinstance(t, np.ndarray) else math.sin(self.w * t)
 
+    def derivative(self, t):
+        return self.w * (np.cos(self.w * t) if isinstance(t, np.ndarray)
+                         else math.cos(self.w * t))
+
 
 class TestComposite:
     # frozen from a 50-digit term-by-term evaluation
@@ -183,6 +187,66 @@ class TestAlgebra:
             Sum([Constant(1.0), WhiteNoise(0.1)])
 
 
+PURE_TIME = {
+    "zero": Zero(),
+    "constant": Constant(-0.4),
+    "composite": CompositeSinusoid(),
+    "scaled": Scaled(CompositeSinusoid(), 1.5),
+    "sum": Sum([Scaled(CompositeSinusoid(), 2.5), Constant(-0.4), Zero()]),
+}
+
+
+class TestAnalyticDerivative:
+    @pytest.mark.parametrize("name", PURE_TIME)
+    def test_matches_central_difference(self, name):
+        sig, h = PURE_TIME[name], 1e-4
+        ts = np.linspace(0.0, 60.0, 600001)
+        central = (sig.value(ts + h) - sig.value(ts - h)) / (2.0 * h)
+        scale = np.abs(central).max()
+        assert_allclose(sig.derivative(ts), central, rtol=1e-6, atol=1e-6 * scale)
+
+    @pytest.mark.parametrize("name", PURE_TIME)
+    def test_scalar_and_array_paths_agree(self, name):
+        sig = PURE_TIME[name]
+        ts = np.array([0.0, 0.123, 7.7, 39.999])
+        for t, d in zip(ts, sig.derivative(ts)):
+            assert_allclose(sig.derivative(float(t)), d, rtol=1e-14, atol=1e-14)
+
+    def test_base_signal_has_none(self):
+        with pytest.raises(NonDifferentiable, match="Sine"):
+            Signal.derivative(Sine(1.0), 0.0)
+
+
+class TestSpecEquality:
+    def test_equal_fields_compare_and_hash_equal(self):
+        a = Sum([Scaled(CompositeSinusoid(), 1.5), Constant(1)])
+        b = Sum((Scaled(CompositeSinusoid(), 1.5), Constant(1.0)))
+        assert a == b and hash(a) == hash(b)
+        assert Zero() == Zero() and CompositeSinusoid() == CompositeSinusoid()
+
+    @pytest.mark.parametrize("a, b", [
+        (Constant(0.0), Constant(-0.0)),
+        (Scaled(CompositeSinusoid(), 0.0), Scaled(CompositeSinusoid(), -0.0)),
+        (Sum([Constant(0.0)]), Sum([Constant(-0.0)])),
+        (Constant(0.1), Constant(0.1 + 2**-56)),
+        (Zero(), Constant(0.0)),
+        (CompositeSinusoid(), Scaled(CompositeSinusoid(), 1.0)),
+        (Sum([Zero(), Constant(1.0)]), Sum([Constant(1.0), Zero()])),
+    ])
+    def test_equality_is_bit_exact(self, a, b):
+        assert a != b and b != a
+
+    def test_specs_are_frozen(self):
+        with pytest.raises(AttributeError):
+            Constant(1.0).level = 2.0
+
+    def test_stochastic_inner_compares_by_identity(self):
+        noise = WhiteNoise(0.1)
+        assert Scaled(noise, 2.0) == Scaled(noise, 2.0)
+        assert Scaled(noise, 2.0) != Scaled(WhiteNoise(0.1), 2.0)
+        assert Scaled(noise, 2.0).stochastic
+
+
 class TestDerivativeL1:
     def test_constant_is_flat(self):
         assert derivative_l1(Constant(3.0), 0.0, 10.0) == pytest.approx(0.0, abs=1e-9)
@@ -200,10 +264,18 @@ class TestDerivativeL1:
     def test_composite_over_forty_seconds(self):
         # frozen from adaptive quadrature of |d/dt| at high precision
         got = derivative_l1(CompositeSinusoid(), 0.0, 40.0)
-        assert_allclose(got, 34.0425738524, rtol=1e-4)
+        assert_allclose(got, 34.0425738524, rtol=1e-6)
 
     def test_empty_interval(self):
         assert derivative_l1(CompositeSinusoid(), 3.0, 3.0) == 0.0
+
+    def test_signal_without_derivative_rejected(self):
+        class ValueOnly(Signal):
+            def value(self, t, pos=None):
+                return 0.5 * t
+
+        with pytest.raises(NonDifferentiable, match="ValueOnly"):
+            derivative_l1(ValueOnly(), 0.0, 1.0)
 
     def test_stochastic_rejected(self):
         for sig in (WhiteNoise(0.1), DrydenGust("u"),

@@ -11,12 +11,15 @@ import pytest
 
 from hgdosim import metrics
 from hgdosim.config import load_scenario, validate_metrics
+from hgdosim.cli import main
 from hgdosim.disturbances import (
     CompositeSinusoid,
     Constant,
     DrydenGust,
     GroundEffect,
+    Scaled,
     Signal,
+    derivative_l1,
 )
 from hgdosim.emit import emit_csv, read_csv
 from hgdosim.metrics import (
@@ -263,6 +266,81 @@ class TestMetricsReport:
         assert counts["uz_floor"] > 0
         assert set(counts) == {"outer_clamp", "uz_floor", "torque_clamp",
                                "rotor_sat", "pitch_clamp"}
+
+
+class ValueOnly(Signal):
+    """A library-defined pure-time signal with no `derivative`."""
+
+    def value(self, t, pos=None):
+        return 0.1 * t
+
+
+class Opaque(Signal):
+    """Delegates to a signal but compares by identity, so no two channels
+    holding one share an evaluation."""
+
+    def __init__(self, inner):
+        self.inner = inner
+
+    def value(self, t, pos=None):
+        return self.inner.value(t, pos)
+
+
+@pytest.fixture
+def outermost(monkeypatch):
+    """spy(method) records the signal of every outermost call of `method` on
+    the classes of the composite scenario's signals."""
+    def spy(method):
+        calls, depth = [], [0]
+        for cls in (Scaled, CompositeSinusoid):
+            def wrapper(self, *args, _orig=getattr(cls, method), **kwargs):
+                if not depth[0]:
+                    calls.append(self)
+                depth[0] += 1
+                try:
+                    return _orig(self, *args, **kwargs)
+                finally:
+                    depth[0] -= 1
+            monkeypatch.setattr(cls, method, wrapper)
+        return calls
+    return spy
+
+
+class TestDistinctSignals:
+    """lemniscate_composite holds two distinct signals over six channels."""
+
+    DISTINCT = [Scaled(CompositeSinusoid(), 1.5), CompositeSinusoid()]
+
+    def cfg(self):
+        return dataclasses.replace(
+            load_scenario(SCENARIO_DIR / "lemniscate_composite.json"), duration=0.5)
+
+    def test_signal_deltas_once_per_distinct_signal(self, outermost):
+        cfg = self.cfg()
+        calls = outermost("derivative")
+        deltas = signal_deltas(cfg)
+        assert calls == self.DISTINCT
+        signals = cfg.force_signals + cfg.torque_signals
+        assert deltas.tolist() == [derivative_l1(s, 0.0, 0.5) for s in signals]
+
+    def test_pregrid_once_per_distinct_signal(self, outermost):
+        cfg = self.cfg()
+        calls = outermost("value")
+        trace = run_scenario(cfg)
+        assert calls == self.DISTINCT
+        separate = run_scenario(dataclasses.replace(
+            cfg, force_signals=tuple(map(Opaque, cfg.force_signals)),
+            torque_signals=tuple(map(Opaque, cfg.torque_signals))))
+        assert trace.data.tobytes() == separate.data.tobytes()
+
+    def test_signal_without_derivative_gets_no_checks(self, tmp_path, monkeypatch, capsys):
+        cfg = hold_cfg(duration=0.2, force_signals=(ValueOnly(), None, None))
+        report = metrics_report(run_scenario(cfg))
+        assert report["bound_check"] is None and report["gain_condition"] is None
+        validate_metrics(json.loads(json.dumps(report)))
+        monkeypatch.setattr("hgdosim.cli.load_scenario", lambda path: cfg)
+        assert main(["check-bounds", str(tmp_path / "unused.json")]) == 3
+        assert "ValueOnly" in capsys.readouterr().err
 
 
 class TestSweep:

@@ -3,7 +3,11 @@
 Every document of a corpus (shipped scenarios, reports of short runs of them,
 a sweep, a compare, a report of a CSV trace, and mutations of all of these)
 must get the same decision from both, and a rejected one the same message,
-JSON path included, that `jsonschema.exceptions.best_match` picks.
+JSON path included, that `jsonschema.exceptions.best_match` picks. The one
+departure: a oneOf whose branches all pin `kind` with a const (trajectories,
+disturbances) descends only into the branch the instance's `kind` selects.
+The oracle applies that by narrowing jsonschema's own error context before
+`best_match` sees it; `TestKindSelectedBranch` shows both messages.
 """
 
 import dataclasses
@@ -124,11 +128,26 @@ def reports(tmp_path_factory):
     return docs
 
 
+def _kind_selected(errors):
+    """The errors, each failed oneOf that tells its branches apart by a
+    `kind` const keeping in its context only the branch the instance selects."""
+    for err in errors:
+        _kind_selected(err.context)
+        if err.validator != "oneOf" or not isinstance(err.instance, dict):
+            continue
+        kinds = [b.get("properties", {}).get("kind", {}).get("const")
+                 for b in err.validator_value]
+        if None not in kinds and err.instance.get("kind") in kinds:
+            branch = kinds.index(err.instance["kind"])
+            err.context = [e for e in err.context if e.relative_schema_path[0] == branch]
+    return errors
+
+
 def _same_verdicts(docs, schema, validate, label):
     oracle = jsonschema.Draft202012Validator(schema)
     accepted = rejected = 0
     for name, doc in docs:
-        expected = best_match(oracle.iter_errors(doc))
+        expected = best_match(_kind_selected(list(oracle.iter_errors(doc))))
         try:
             validate(doc)
         except ConfigError as exc:
@@ -166,3 +185,29 @@ class TestAgainstJsonschema:
             validate_metrics(reports["report:csv"])
         for name in ("report:hover_step", "sweep", "compare"):
             validate_metrics(reports[name])
+
+
+class TestKindSelectedBranch:
+    """Where the instance's `kind` picks a oneOf branch, the error named is
+    that branch's, not the one `best_match` picks across all branches."""
+
+    @pytest.mark.parametrize("change, plain, ours", [
+        ({"trajectory": {"kind": "hover", "target": [1, 2]}},
+         "$.trajectory.kind: 'lemniscate' was expected",
+         "$.trajectory.target: [1, 2] is too short"),
+        ({"disturbances": [{"kind": "dryden", "domain": "force", "axis": "x",
+                            "wind_speed": -1}]},
+         "$.disturbances[0]: {'kind': 'dryden', 'domain': 'force', 'axis': 'x', "
+         "'wind_speed': -1} is not valid under any of the given schemas",
+         "$.disturbances[0].wind_speed: -1 is less than the minimum of 0"),
+    ])
+    def test_message_names_the_field(self, change, plain, ours):
+        doc = {**json.loads(SCENARIOS["hover_step"].read_text()), **change}
+        errors = list(jsonschema.Draft202012Validator(scenario_schema()).iter_errors(doc))
+        found = best_match(errors)
+        assert f"{found.json_path}: {found.message}" == plain
+        found = best_match(_kind_selected(errors))
+        assert f"{found.json_path}: {found.message}" == ours
+        with pytest.raises(ConfigError) as exc:
+            validate_scenario(doc)
+        assert str(exc.value) == f"scenario config at {ours}"

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import math
 import os
 import sys
 from pathlib import Path
@@ -66,7 +67,10 @@ def _load(path, seed_arg):
 
 def _outdir(args) -> Path:
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise EmitError(f"{out}: {exc}") from exc
     return out
 
 
@@ -104,8 +108,8 @@ def cmd_sweep(args) -> int:
         epsilons = [float(tok) for tok in args.eps.split(",") if tok]
     except ValueError:
         raise ConfigError(f"--eps must be a comma list of numbers, got {args.eps!r}")
-    if not epsilons or any(e <= 0.0 for e in epsilons):
-        raise ConfigError("--eps needs at least one positive value")
+    if not epsilons or not all(0.0 < e < math.inf for e in epsilons):
+        raise ConfigError(f"--eps needs finite positive values, got {args.eps!r}")
     try:
         report = sweep(cfg, epsilons, include_smc_only=args.smc_only, skip=args.skip)
     except RealizationMismatch as exc:

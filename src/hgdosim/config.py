@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import re
 from functools import lru_cache
 from importlib import resources
@@ -415,6 +416,15 @@ def parse_scenario(doc: dict) -> ScenarioConfig:
     return build_scenario(doc)
 
 
+def _finite(token: str) -> float:
+    """Parse a JSON number, refusing Python's NaN and Infinity extensions and
+    literals such as 1e999 that overflow to infinity."""
+    value = float(token)
+    if not math.isfinite(value):
+        raise ConfigError(f"non-finite number {token} is not allowed")
+    return value
+
+
 def load_scenario(path) -> ScenarioConfig:
     """Read, validate and build a scenario file; all failures raise ConfigError."""
     path = Path(path)
@@ -423,9 +433,11 @@ def load_scenario(path) -> ScenarioConfig:
     except OSError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, parse_float=_finite, parse_constant=_finite)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
     if not isinstance(doc, dict):
         raise ConfigError(f"{path}: top level must be a JSON object")
     try:

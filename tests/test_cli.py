@@ -118,6 +118,48 @@ class TestSweep:
         assert main(["sweep", str(cfg), "--eps", "", "--out", out]) == 3
         assert main(["sweep", str(cfg), "--eps", "-0.01", "--out", out]) == 3
 
+    @pytest.mark.parametrize("eps", ["0.01,nan", "inf", "0.01,-inf"])
+    def test_non_finite_eps_is_config_error(self, tmp_path, capsys, eps):
+        cfg = write_cfg(tmp_path)
+        out = tmp_path / "o"
+        assert main(["sweep", str(cfg), "--eps", eps, "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("config error: --eps needs finite positive values")
+        assert not out.exists()
+
+
+class TestNonFiniteConfig:
+    """JSON has no NaN or Infinity; Python's json module reads them unless told
+    not to, and they would reach the engine as a crash or a silent run."""
+
+    @pytest.mark.parametrize("field,literal", [
+        ("epsilon1", "NaN"), ("duration", "Infinity"), ("epsilon2", "-Infinity"),
+        ("dt", "1e999")])
+    @pytest.mark.parametrize("command", ["simulate", "sweep", "compare"])
+    def test_rejected_with_exit_3(self, tmp_path, capsys, field, literal, command):
+        cfg = write_cfg(tmp_path, **{field: "@"})
+        cfg.write_text(cfg.read_text().replace('"@"', literal))
+        out = tmp_path / "o"
+        argv = [command, str(cfg)] + ([str(cfg)] if command == "compare" else [])
+        assert main(argv + ["--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {cfg}: non-finite number {literal} ")
+        assert not out.exists()
+
+
+class TestOutNamesAFile:
+    @pytest.mark.parametrize("command", ["simulate", "sweep", "compare"])
+    def test_emit_error_exit_1(self, tmp_path, capsys, command):
+        cfg = write_cfg(tmp_path, duration=0.2)
+        out = tmp_path / "taken"
+        out.write_text("not a directory")
+        argv = [command, str(cfg)] + ([str(cfg)] if command == "compare" else [])
+        assert main(argv + ["--eps", "0.04"] * (command == "sweep")
+                    + ["--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"emit error: {out}: ")
+        assert out.read_text() == "not a directory"
+
 
 class TestCompare:
     def test_reports_delta(self, tmp_path, capsys):

@@ -3,8 +3,10 @@
 import csv
 import json
 import os
+import signal
 import subprocess
 import sys
+import threading
 import xml.etree.ElementTree as ET
 from pathlib import Path
 from xml.sax.saxutils import escape
@@ -13,6 +15,7 @@ import numpy as np
 import pytest
 
 import hgdosim
+from hgdosim import emit
 from hgdosim.config import validate_metrics
 from hgdosim.disturbances import CompositeSinusoid, Constant
 from hgdosim.emit import (
@@ -141,6 +144,217 @@ class TestCsv:
             emit_csv(short_trace, tmp_path)
 
 
+@pytest.fixture(scope="module")
+def long_trace(short_trace):
+    """short_trace's rows tiled past the row threshold of the CSV helper."""
+    reps = 2 * emit._HELPER_MIN_ROWS // len(short_trace) + 1
+    return SimTrace(np.tile(short_trace.data, (reps, 1)), {})
+
+
+@pytest.mark.skipif(not (hasattr(os, "fork") and hasattr(os, "memfd_create")),
+                    reason="the CSV helper needs os.fork and os.memfd_create")
+class TestCsvHelper:
+    """The forked helper that writes and reads the second half of a trace."""
+
+    @pytest.fixture(autouse=True)
+    def two_cpus_and_no_leaks(self, monkeypatch, tmp_path):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        fds = len(os.listdir("/proc/self/fd"))
+        yield
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)  # no helper left unreaped
+        assert len(os.listdir("/proc/self/fd")) == fds
+        assert all(p.suffix == ".csv" for p in tmp_path.iterdir())
+
+    @pytest.fixture
+    def forks(self, monkeypatch):
+        """Count the forks this process makes."""
+        calls, real = [], os.fork
+
+        def fork():
+            calls.append(1)
+            return real()
+        monkeypatch.setattr(os, "fork", fork)
+        return calls
+
+    @staticmethod
+    def fail(monkeypatch, name, exc, in_helper):
+        """Make emit.<name> raise `exc`, in a helper only or here only."""
+        parent, real = os.getpid(), getattr(emit, name)
+
+        def wrapped(*args):
+            if (os.getpid() != parent) == in_helper:
+                raise exc
+            return real(*args)
+        monkeypatch.setattr(emit, name, wrapped)
+
+    def test_bytes_and_round_trip(self, long_trace, tmp_path, forks):
+        ours, ref = tmp_path / "ours.csv", tmp_path / "ref.csv"
+        emit_csv(long_trace, ours)
+        assert len(forks) == 1
+        csv_module_writer(long_trace, ref)
+        assert ours.read_bytes() == ref.read_bytes()
+        assert ours.stat().st_size > emit._HELPER_MIN_BYTES
+        assert read_csv(ours).data.tobytes() == long_trace.data.tobytes()
+        assert len(forks) == 2
+
+    @pytest.mark.parametrize("layout", ["crlf", "lf", "blank_lines"])
+    def test_read_layouts(self, long_trace, tmp_path, forks, layout):
+        path = tmp_path / "trace.csv"
+        emit_csv(long_trace, path)
+        lines = path.read_bytes().split(b"\r\n")
+        if layout == "lf":
+            lines = b"\n".join(lines).split(b"\r\n")
+            path.write_bytes(b"\n".join(lines))
+        elif layout == "blank_lines":
+            n = len(lines)
+            for at in sorted((2, n // 4, n // 2 - 1, n // 2, 3 * n // 4, n - 2),
+                             reverse=True):
+                lines.insert(at, b"")
+            path.write_bytes(b"\r\n".join(lines) + b"\n\r\n")
+        assert read_csv(path).data.tobytes() == long_trace.data.tobytes()
+        assert len(forks) == 2
+
+    @staticmethod
+    def narrow_half(raw, first):
+        """Drop the last cell of each row in the first or second half of the
+        bytes, padded with blank lines so the halves split where they did."""
+        start = raw.index(b"\n") + 1
+        mid = start + (len(raw) - start) // 2
+        out, pos = [raw[:start]], start
+        for line in raw[start:].split(b"\r\n")[:-1]:
+            if (pos <= mid) == first:
+                cut = line.rindex(b",")
+                out.append(line[:cut] + b"\r\n" + b"\n" * (len(line) - cut))
+            else:
+                out.append(line + b"\r\n")
+            pos += len(line) + 2
+        return b"".join(out)
+
+    @pytest.mark.parametrize("fault", ["bad_cell", "cut_row", "narrow_half"])
+    @pytest.mark.parametrize("where", [0.25, 0.75])
+    def test_errors_match_one_process(self, long_trace, tmp_path, forks,
+                                      monkeypatch, fault, where):
+        path = tmp_path / "trace.csv"
+        emit_csv(long_trace, path)
+        raw = path.read_bytes()
+        if fault == "narrow_half":
+            path.write_bytes(self.narrow_half(raw, first=where < 0.5))
+        else:
+            lines = raw.split(b"\r\n")
+            k = int(where * len(lines))
+            cells = lines[k].split(b",")
+            lines[k] = b",".join(cells[:20] + ([b"nope"] + cells[21:]
+                                               if fault == "bad_cell" else []))
+            path.write_bytes(b"\r\n".join(lines))
+        with pytest.raises(EmitError) as helper:
+            read_csv(path)
+        assert len(forks) == 2
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        with pytest.raises(EmitError) as single:
+            read_csv(path)
+        assert len(forks) == 2
+        assert str(helper.value) == str(single.value)
+        assert f"{path}: bad cell" in str(single.value)
+
+    def test_failed_helper_is_replaced(self, long_trace, tmp_path, forks,
+                                       monkeypatch):
+        self.fail(monkeypatch, "_write_rows", RuntimeError, in_helper=True)
+        self.fail(monkeypatch, "_parse", RuntimeError, in_helper=True)
+        ours, ref = tmp_path / "ours.csv", tmp_path / "ref.csv"
+        emit_csv(long_trace, ours)
+        csv_module_writer(long_trace, ref)
+        assert ours.read_bytes() == ref.read_bytes()
+        assert read_csv(ours).data.tobytes() == long_trace.data.tobytes()
+        assert len(forks) == 2
+
+    def test_refused_fork_and_sendfile(self, long_trace, tmp_path, monkeypatch):
+        ref = tmp_path / "ref.csv"
+        csv_module_writer(long_trace, ref)
+
+        def refuse(*args):
+            raise OSError(22, "refused")
+        monkeypatch.setattr(os, "sendfile", refuse)
+        emit_csv(long_trace, tmp_path / "a.csv")
+        monkeypatch.setattr(os, "fork", refuse)
+        emit_csv(long_trace, tmp_path / "b.csv")
+        for name in ("a.csv", "b.csv"):
+            assert (tmp_path / name).read_bytes() == ref.read_bytes()
+        assert read_csv(ref).data.tobytes() == long_trace.data.tobytes()
+
+    @pytest.mark.parametrize("system", ["one_cpu", "one_cpu_count", "no_memfd",
+                                        "no_fork"])
+    def test_no_fork_attempted(self, long_trace, short_trace, tmp_path,
+                               monkeypatch, system):
+        if system == "one_cpu":
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        elif system == "one_cpu_count":
+            monkeypatch.delattr(os, "sched_getaffinity")
+            monkeypatch.setattr(os, "cpu_count", lambda: 1)
+        elif system == "no_memfd":
+            monkeypatch.delattr(os, "memfd_create")
+        if system == "no_fork":
+            monkeypatch.delattr(os, "fork")
+        else:
+            def fork():
+                raise AssertionError("fork attempted")
+            monkeypatch.setattr(os, "fork", fork)
+        ref = tmp_path / "ref.csv"
+        csv_module_writer(long_trace, ref)
+        emit_csv(long_trace, tmp_path / "ours.csv")
+        assert (tmp_path / "ours.csv").read_bytes() == ref.read_bytes()
+        assert read_csv(ref).data.tobytes() == long_trace.data.tobytes()
+
+    def test_ignored_sigchld(self, long_trace, tmp_path, forks):
+        # the kernel reaps the helper, so its exit status is lost
+        old = signal.signal(signal.SIGCHLD, signal.SIG_IGN)
+        try:
+            emit_csv(long_trace, tmp_path / "ours.csv")
+            back = read_csv(tmp_path / "ours.csv")
+        finally:
+            signal.signal(signal.SIGCHLD, old)
+        csv_module_writer(long_trace, tmp_path / "ref.csv")
+        assert (tmp_path / "ours.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+        assert back.data.tobytes() == long_trace.data.tobytes()
+        assert len(forks) == 2
+
+    def test_fifo_is_read_in_one_process(self, long_trace, tmp_path, forks):
+        ref, fifo = tmp_path / "ref.csv", tmp_path / "fifo.csv"
+        emit_csv(long_trace, ref)
+        os.mkfifo(fifo)
+        writer = threading.Thread(target=fifo.write_bytes, args=(ref.read_bytes(),))
+        writer.start()
+        back = read_csv(fifo)
+        writer.join(timeout=10)
+        assert not writer.is_alive()
+        assert back.data.tobytes() == long_trace.data.tobytes()
+        assert len(forks) == 1
+
+    def test_short_trace_forks_nothing(self, short_trace, tmp_path, forks):
+        emit_csv(short_trace, tmp_path / "trace.csv")
+        read_csv(tmp_path / "trace.csv")
+        assert forks == []
+
+    def test_interrupt_reaps_helper(self, long_trace, tmp_path, forks,
+                                    monkeypatch):
+        path = tmp_path / "trace.csv"
+        emit_csv(long_trace, path)
+        self.fail(monkeypatch, "_write_rows", KeyboardInterrupt, in_helper=False)
+        self.fail(monkeypatch, "_parse", KeyboardInterrupt, in_helper=False)
+        with pytest.raises(KeyboardInterrupt):
+            emit_csv(long_trace, tmp_path / "cut.csv")
+        with pytest.raises(KeyboardInterrupt):
+            read_csv(path)
+        assert len(forks) == 3
+
+    def test_directory_target_carries_path(self, long_trace, tmp_path, forks):
+        target = tmp_path / "dir.csv"
+        target.mkdir()
+        with pytest.raises(EmitError, match=str(target)):
+            emit_csv(long_trace, target)
+        assert len(forks) == 1
+
+
 class TestJson:
     def test_report_round_trip_and_schema(self, short_trace, tmp_path):
         path = tmp_path / "metrics.json"
@@ -239,6 +453,11 @@ class TestImportFootprint:
                 "validate_metrics(hgdosim.metrics_report(hgdosim.run_scenario(cfg)))")
         heavy = ("jsonschema", "referencing", "rpds", "attrs")
         assert self.loaded(heavy, code) == []
+
+    def test_import_loads_no_process_pools(self):
+        # the CSV helper is a bare os.fork; these cost start-up time
+        heavy = ("multiprocessing", "concurrent.futures", "subprocess")
+        assert self.loaded(heavy, "import sys, hgdosim") == []
 
 
 class TestPlotBuilders:

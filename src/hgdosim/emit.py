@@ -25,10 +25,10 @@ class EmitError(RuntimeError):
 
 
 # One forked helper takes half of a trace when it has at least this many rows
-# (emit_csv) or bytes (read_csv). In a ~95 MB process on two
-# CPUs, the fork, exit and wait cost about 5 ms, and the helper breaks even at
-# about 500 rows written and 1 MB read. The smallest shipped traces are 3001
-# rows (bound_check) and 2.2 MB (ground_effect).
+# (emit_csv) or bytes (read_csv). In a ~95 MB process on two CPUs, the fork,
+# exit and wait cost about 5 ms, and the helper breaks even at about 500 rows
+# written and 1 MB read. The smallest shipped traces are 3001 rows
+# (bound_check) and 2.2 MB (ground_effect).
 _HELPER_MIN_ROWS = 1000
 _HELPER_MIN_BYTES = 1_000_000
 
@@ -93,6 +93,7 @@ def _write_rows(fh, rows) -> None:
 
 
 def _write_rows_to_fd(fd: int, rows) -> None:
+    """Helper body: format `rows` into the file `fd`."""
     with open(fd, "w", newline="", closefd=False) as out:
         _write_rows(out, rows)
 
@@ -132,7 +133,7 @@ def emit_csv(trace: SimTrace, path) -> None:
         if _helper_allowed(len(data), _HELPER_MIN_ROWS):
             try:
                 memfd = os.memfd_create("hgdosim-csv")
-            except OSError:  # refused by the kernel or a sandbox
+            except OSError:  # refused by the kernel or a seccomp filter
                 pass
             else:
                 pid = _fork(_write_rows_to_fd, memfd, data[len(data) // 2:])

@@ -19,6 +19,7 @@ from .config import ConfigError, load_scenario
 from .disturbances import NonDifferentiable
 from .emit import PLOT_KINDS, EmitError, emit_csv, emit_json, emit_svg, read_csv
 from .metrics import (
+    EmptyTrace,
     RealizationMismatch,
     StochasticDisturbance,
     TRACK_CHANNELS,
@@ -65,6 +66,17 @@ def _load(path, seed_arg):
     return cfg
 
 
+def _check_skip(skip: float, *cfgs) -> None:
+    """Refuse, before any run, a --skip that leaves a run nothing to report:
+    it must be at least 0, below the duration and no later than the last
+    recorded step (NaN fails every comparison)."""
+    for cfg in cfgs:
+        last = int(round(cfg.duration / cfg.dt)) * cfg.dt
+        if not (0.0 <= skip < cfg.duration and skip <= last):
+            raise ConfigError(f"--skip must be at least 0 and below the duration of "
+                              f"{cfg.name} ({cfg.duration:g} s), got {skip!r}")
+
+
 def _outdir(args) -> Path:
     out = Path(args.out)
     try:
@@ -80,6 +92,7 @@ def _fmt_rms(rms: dict) -> str:
 
 def cmd_simulate(args) -> int:
     cfg = _load(args.config, args.seed)
+    _check_skip(args.skip, cfg)
     code = _EXIT_OK
     try:
         trace = run_scenario(cfg)
@@ -89,7 +102,13 @@ def cmd_simulate(args) -> int:
         code = _EXIT_DIVERGED
     out = _outdir(args)
     emit_csv(trace, out / "trace.csv")
-    emit_json(metrics_report(trace, skip=args.skip), out / "metrics.json")
+    try:
+        report = metrics_report(trace, skip=args.skip)
+    except EmptyTrace:  # only a run that diverged before --skip gets here
+        print(f"wrote {out / 'trace.csv'}; no metrics: the run ended before "
+              f"--skip {args.skip:g}", file=sys.stderr)
+        return code
+    emit_json(report, out / "metrics.json")
     meta = trace.meta
     print(f"scenario {meta['name']}: observer={meta['observer']} "
           f"eps1={meta['epsilon1']:g} seed={meta['seed']} "
@@ -104,6 +123,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_sweep(args) -> int:
     cfg = _load(args.config, args.seed)
+    _check_skip(args.skip, cfg)
     try:
         epsilons = [float(tok) for tok in args.eps.split(",") if tok]
     except ValueError:
@@ -131,6 +151,7 @@ def cmd_sweep(args) -> int:
 def cmd_compare(args) -> int:
     cfg_a = _load(args.config_a, args.seed)
     cfg_b = _load(args.config_b, args.seed)
+    _check_skip(args.skip, cfg_a, cfg_b)
     report = compare(cfg_a, cfg_b, skip=args.skip)
     out = _outdir(args)
     emit_json(report, out / "compare.json")

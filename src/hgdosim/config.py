@@ -358,8 +358,28 @@ def _build_gains(doc: dict) -> SmcGains:
     return SmcGains(**kw)
 
 
+def _check_floats(doc, path=()) -> None:
+    """Raise ConfigError at the first integer, outside a seed, that no float
+    can hold. JSON integers bypass the float parsing, and every number but
+    a seed is converted to a float somewhere; seeds may be any size."""
+    if isinstance(doc, dict):
+        for key, val in doc.items():
+            if key != "seed":
+                _check_floats(val, (*path, key))
+    elif isinstance(doc, list):
+        for i, val in enumerate(doc):
+            _check_floats(val, (*path, i))
+    elif isinstance(doc, int) and not isinstance(doc, bool):
+        try:
+            float(doc)
+        except OverflowError:
+            raise ConfigError(f"scenario config at {_json_path(list(path))}: integer of "
+                              f"{len(str(abs(doc)))} digits is too large for a float") from None
+
+
 def build_scenario(doc: dict) -> ScenarioConfig:
     """Turn a validated document into a runnable ScenarioConfig."""
+    _check_floats(doc)
     dt = float(doc.get("dt", 0.002))
     slots = {("force", i): [] for i in range(3)}
     slots.update({("torque", i): [] for i in range(3)})
@@ -425,6 +445,14 @@ def _finite(token: str) -> float:
     return value
 
 
+def _integer(token: str) -> int:
+    """Parse a JSON integer, refusing one too long for int() to convert."""
+    try:
+        return int(token)
+    except ValueError:
+        raise ConfigError(f"integer literal of {len(token)} digits is too long") from None
+
+
 def load_scenario(path) -> ScenarioConfig:
     """Read, validate and build a scenario file; all failures raise ConfigError."""
     path = Path(path)
@@ -433,7 +461,8 @@ def load_scenario(path) -> ScenarioConfig:
     except OSError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
     try:
-        doc = json.loads(text, parse_float=_finite, parse_constant=_finite)
+        doc = json.loads(text, parse_float=_finite, parse_int=_integer,
+                         parse_constant=_finite)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
     except ConfigError as exc:

@@ -78,17 +78,6 @@ class AttitudeSetpoint:
     accels: tuple = (0.0, 0.0, 0.0)
 
 
-def sat(s, mu: float):
-    """Boundary-layer switch: s/mu clipped to [-1, 1]."""
-    if mu <= 0.0:
-        raise ValueError("boundary layer mu must be positive")
-    return np.clip(np.asarray(s, dtype=float) / mu, -1.0, 1.0)
-
-
-def sliding_surface(e, e_dot, lam) -> np.ndarray:
-    return np.asarray(e_dot, dtype=float) + np.asarray(lam, dtype=float) * np.asarray(e, dtype=float)
-
-
 def _switching_law(e, e_dot, ff, lam, k, l, mu):
     """One channel of both loops: ff + lam*e_dot + k*sat(s/mu) + l*s, with
     the surface s = e_dot + lam*e. ff is the feedforward net of the

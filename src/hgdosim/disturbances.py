@@ -1,8 +1,8 @@
 """Disturbance signal library.
 
 Deterministic test signals (constant, composite sinusoid), stochastic ones
-(band-limited white noise, Dryden gusts), position-dependent shaping (box
-gate, ground-effect proxy), and the derivative L1 integral used by the
+(band-limited white noise, Dryden gusts), a position-dependent
+ground-effect proxy, and the derivative L1 integral used by the
 estimation-bound check. Deterministic signals evaluate on scalars or arrays;
 stochastic signals advance an internal state once per simulation step and the
 sample is held until the next call. The pure-time deterministic signals (zero,
@@ -358,37 +358,6 @@ class DrydenGust(Signal):
 
     def advance(self, t, dt, pos=None):
         return self.accel_gain * self.filter.step(self._rng)
-
-
-class BoxGated(Signal):
-    """Zero outside an axis-aligned position box, unchanged inside."""
-
-    def __init__(self, inner: Signal, lo, hi):
-        self.inner = inner
-        self.lo = np.asarray(lo, dtype=float)
-        self.hi = np.asarray(hi, dtype=float)
-        if self.lo.shape != (3,) or self.hi.shape != (3,):
-            raise ValueError("gate corners must be 3-vectors")
-        self.stochastic = inner.stochastic
-        self.needs_position = True
-
-    def _gate(self, pos) -> float:
-        if pos is None:
-            raise ValueError("gated signal needs the vehicle position")
-        inside = all(lo <= x <= hi for lo, x, hi in zip(self.lo, pos, self.hi))
-        return 1.0 if inside else 0.0
-
-    def value(self, t, pos=None):
-        return self._gate(pos) * self.inner.value(t, pos)
-
-    def bind(self, rng):
-        self.inner.bind(rng)
-
-    def discretize(self, dt):
-        self.inner.discretize(dt)
-
-    def advance(self, t, dt, pos=None):
-        return self._gate(pos) * self.inner.advance(t, dt, pos)
 
 
 class GroundEffect(Signal):

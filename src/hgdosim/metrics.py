@@ -264,7 +264,7 @@ def _sweep_variant(cfg: ScenarioConfig, shared: Sequence[str],
     if d_ref is not None and not np.array_equal(d_ref, d_true):
         raise RealizationMismatch(
             "sweep variants saw different disturbance realizations; "
-            "check for position-gated stochastic signals")
+            "check for stochastic signals that depend on the vehicle position")
     row = {
         "rms_tracking": rms_errors(trace, skip),
         "rms_estimation": rms_estimation(trace, skip),

@@ -1,25 +1,17 @@
 """Rigid-body quadrotor model.
 
-Kinematics (ZYX Euler), rotor thrust/torque maps, and the canonical
-double-integrator control form used by the observer and the controller.
-Angles are (phi, theta, psi) = roll, pitch, yaw; the inertial frame is
+Vehicle constants, the ZYX Euler rotation and the rotor thrust/torque maps.
+The equations of motion themselves (canonical and full plant) are written
+out once, in the engine's RK4 kernel (sim.build_stepper). Angles are (phi, theta, psi) = roll, pitch, yaw; the inertial frame is
 z-up, so gravity enters the translational dynamics as (0, 0, -g).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-
-# The Euler-rate map is singular at theta = +-pi/2; treat anything with
-# |cos(theta)| at or below this as unusable.
-SINGULARITY_TOL = 1e-6
-
-
-class GimbalLock(ValueError):
-    """Raised when the Euler-rate map is evaluated too close to theta = +-pi/2."""
 
 
 @dataclass
@@ -37,34 +29,12 @@ class VehicleParams:
     omega_max: float = 2500.0  # rotor speed limit [rad/s]
 
     @property
-    def j(self) -> np.ndarray:
-        return np.array([self.jx, self.jy, self.jz])
-
-    @property
     def hover_thrust(self) -> float:
         return self.m * self.g
 
 
 #: Default 28 g micro-quadrotor used throughout the shipped scenarios.
 MICRO_QUAD = VehicleParams()
-
-
-@dataclass
-class RigidState:
-    """Canonical state: inertial position/velocity, Euler angles and Euler rates."""
-
-    pos: np.ndarray = field(default_factory=lambda: np.zeros(3))
-    vel: np.ndarray = field(default_factory=lambda: np.zeros(3))
-    att: np.ndarray = field(default_factory=lambda: np.zeros(3))
-    rate: np.ndarray = field(default_factory=lambda: np.zeros(3))
-
-    def as_vector(self) -> np.ndarray:
-        return np.concatenate([self.pos, self.vel, self.att, self.rate])
-
-    @classmethod
-    def from_vector(cls, y: np.ndarray) -> "RigidState":
-        y = np.asarray(y, dtype=float)
-        return cls(y[0:3].copy(), y[3:6].copy(), y[6:9].copy(), y[9:12].copy())
 
 
 @dataclass
@@ -95,24 +65,6 @@ def rotation_matrix(att) -> np.ndarray:
         [cth * cps, sph * sth * cps - cph * sps, cph * sth * cps + sph * sps],
         [cth * sps, sph * sth * sps + cph * cps, cph * sth * sps - sph * cps],
         [-sth, sph * cth, cph * cth],
-    ])
-
-
-def euler_rate_matrix(att) -> np.ndarray:
-    """Map body rates to Euler-angle rates: eta_dot = H(eta) @ omega.
-
-    Raises GimbalLock within SINGULARITY_TOL of theta = +-pi/2.
-    """
-    phi, theta, _ = att
-    cth = np.cos(theta)
-    if abs(cth) <= SINGULARITY_TOL:
-        raise GimbalLock(f"euler rate map singular at theta={theta!r}")
-    cph, sph = np.cos(phi), np.sin(phi)
-    tth = np.tan(theta)
-    return np.array([
-        [1.0, sph * tth, cph * tth],
-        [0.0, cph, -sph],
-        [0.0, sph / cth, cph / cth],
     ])
 
 
@@ -174,48 +126,3 @@ def allocate_rotors(w: WrenchCommand, p: VehicleParams) -> RotorSpeeds:
             o = float(omax)
         om.append(o)
     return RotorSpeeds(tuple(om), saturated)
-
-
-def f2(rate, p: VehicleParams) -> np.ndarray:
-    """Gyroscopic coupling term of the rotational dynamics, per unit inertia."""
-    dphi, dtheta, dpsi = rate
-    return np.array([
-        (p.jy - p.jz) / p.jx * dtheta * dpsi,
-        (p.jz - p.jx) / p.jy * dphi * dpsi,
-        (p.jx - p.jy) / p.jz * dphi * dtheta,
-    ])
-
-
-def canonical_deriv(s: RigidState, u1vec, u2vec, d1, d2, p: VehicleParams) -> RigidState:
-    """Canonical-form state derivative.
-
-    pos_dot  = vel
-    vel_dot  = (0,0,-g) + u1vec + d1     (u1vec: virtual thrust acceleration)
-    att_dot  = rate
-    rate_dot = f2(rate) + u2vec + d2     (u2vec: torque / inertia)
-
-    Returns a RigidState whose fields hold the derivatives in the same layout.
-    """
-    acc = np.asarray(u1vec, dtype=float) + np.asarray(d1, dtype=float)
-    acc = acc + np.array([0.0, 0.0, -p.g])
-    rate_dot = f2(s.rate, p) + np.asarray(u2vec, dtype=float) + np.asarray(d2, dtype=float)
-    return RigidState(s.vel.copy(), acc, s.rate.copy(), rate_dot)
-
-
-def full_nonlinear_deriv(s: RigidState, omega_body, w: WrenchCommand,
-                         d_force, d_torque, p: VehicleParams):
-    """Full rigid-body derivative, without the Euler-rate small-coupling shortcut.
-
-    Body rates omega are the rotational state here (s.rate is ignored);
-    d_force is a body-frame force [N], d_torque a body-frame torque [N m].
-
-    Returns (pos_dot, vel_dot, att_dot, omega_dot).
-    """
-    omega_body = np.asarray(omega_body, dtype=float)
-    r = rotation_matrix(s.att)
-    thrust_body = np.array([0.0, 0.0, w.thrust])
-    vel_dot = np.array([0.0, 0.0, -p.g]) + (r @ (thrust_body + np.asarray(d_force, dtype=float))) / p.m
-    att_dot = euler_rate_matrix(s.att) @ omega_body
-    jom = p.j * omega_body
-    omega_dot = (-np.cross(omega_body, jom) + w.torque + np.asarray(d_torque, dtype=float)) / p.j
-    return s.vel.copy(), vel_dot, att_dot, omega_dot

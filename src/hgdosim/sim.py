@@ -14,6 +14,11 @@ observer is forced by the thrust and torques actually applied to the plant
 (after clamping and, when enabled, rotor allocation), evaluated with the
 same stage attitude the plant sees, so the estimate converges to the
 injected disturbance and not to an allocation residual.
+
+run_scenario sets a run up once (pregrid, noise_table, differentiators),
+then moves each base step with one call of the tick (build_tick: observer,
+controller, allocation, trace row) and one of the kernel (build_stepper:
+the RK4 substeps of plant and observer).
 """
 
 from __future__ import annotations
@@ -172,12 +177,6 @@ class SimTrace:
         return self.col("t")
 
 
-def lyapunov_value(s1, s2, d1_err, d2_err):
-    """Half the summed squares of both surfaces and both estimate errors."""
-    parts = [np.asarray(a, dtype=float) for a in (s1, s2, d1_err, d2_err)]
-    return 0.5 * sum((a * a).sum(axis=-1) for a in parts)
-
-
 def _bind_stochastic(signals, seed: int, domain: int, dt: float):
     """Discretize each stochastic signal at the run's step and give it its
     own random stream."""
@@ -189,6 +188,63 @@ def _bind_stochastic(signals, seed: int, domain: int, dt: float):
             sig.discretize(dt)
             sig.bind(np.random.default_rng(
                 np.random.SeedSequence([seed, int(stream_seed), axis, domain])))
+
+
+def pregrid(cfg: ScenarioConfig, n_sub: int, n_base: int):
+    """The run's deterministic disturbances as (grid, slow).
+
+    Every RK4 stage lands on the half-substep grid, so pure-time signals
+    are evaluated for the whole run in one vectorized pass: grid holds the
+    six channels on 2 * n_sub * n_base + 1 rows, equal signals sharing the
+    first one's column. If any deterministic signal needs the position,
+    there is no grid and slow holds every deterministic channel's
+    Signal.value, called per stage. Other slow entries are None.
+    """
+    det_all = cfg.force_signals + cfg.torque_signals
+    det = [j for j, s in enumerate(det_all) if not (s.stochastic or isinstance(s, Zero))]
+    slow = [None] * 6
+    if any(det_all[j].needs_position for j in det):
+        for j in det:
+            slow[j] = det_all[j].value
+        return None, slow
+    if not det:
+        return None, slow
+    tgrid = np.arange(2 * n_sub * n_base + 1) * (0.5 * (cfg.dt / n_sub))
+    grid = np.zeros((tgrid.size, 6))
+    for j in det:
+        first = det_all.index(det_all[j])
+        grid[:, j] = det_all[j].value(tgrid) if first == j else grid[:, first]
+    return grid, slow
+
+
+def noise_table(cfg: ScenarioConfig, n_base: int):
+    """The held (vx, vy, vz, p, q, r) measurement noise of each recorded
+    step, or None when noise_power is 0. noise_power is the sample variance,
+    not a spectral density; channel ch is seeded by [seed, 97, ch]."""
+    if not cfg.noise_power > 0.0:
+        return None
+    sigma = math.sqrt(cfg.noise_power)
+    noise = np.empty((n_base + 1, 6))
+    for ch in range(6):
+        rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 97, ch]))
+        noise[:, ch] = rng.normal(0.0, sigma, n_base + 1)
+    return noise
+
+
+def differentiators(cfg: ScenarioConfig):
+    """The naive observer's velocity and rate differentiators, then the
+    outer tick's reference velocity and acceleration and setpoint rate and
+    acceleration ones; the reference pair is warmed up on the pre-t=0
+    stretch of the trajectory, so the feedforward is settled at the first
+    tick."""
+    dt_outer = cfg.dt * cfg.outer_divisor
+    ref_vel, ref_acc, sp_rate, sp_acc = (
+        DerivativeFilter(tau=4.0 * dt_outer) for _ in range(4))
+    for j in range(-25, 0):
+        pd = cfg.trajectory.position(j * dt_outer)
+        ref_acc.step(ref_vel.step(pd, dt_outer), dt_outer)
+    return (DerivativeFilter(tau=5.0 * cfg.dt), DerivativeFilter(tau=5.0 * cfg.dt),
+            ref_vel, ref_acc, sp_rate, sp_acc)
 
 
 def build_stepper(cfg: ScenarioConfig, p: VehicleParams, n_sub: int, h: float, slow):
@@ -403,6 +459,217 @@ def build_stepper(cfg: ScenarioConfig, p: VehicleParams, n_sub: int, h: float, s
     return advance
 
 
+def build_tick(cfg: ScenarioConfig, p: VehicleParams, gn: SmcGains, data: np.ndarray,
+               slow, filters):
+    """Return (tick, state0): the control work of one base step, and the
+    state the first step starts from.
+
+    tick(k, t, y, H, rows, ib, flags, state) -> state runs base step k on
+    the 18-float state y: observer, outer loop on every outer_divisor-th
+    step, inner loop, torque clamps and allocation. It reads the held noise
+    and stochastic draws from H[4:16], writes row k of data, and puts the
+    applied thrust and torques per unit mass and inertia in H[0:4] for the
+    kernel. flags carry over from the step before; the d*_true columns
+    read rows[ib], or slow when rows is None. state is (d1_naive, d2_naive,
+    mt, mf, outer_flags, pos_d, vel_d, u1, sp): the naive observer's
+    estimates and raw and low-passed model terms, then what the outer loop
+    holds between its ticks. The six filters of differentiators() are
+    stepped in place.
+    """
+    dt = cfg.dt
+    outer_div = cfg.outer_divisor
+    dt_outer = dt * outer_div
+    m, g = p.m, p.g
+    jx, jy, jz = p.jx, p.jy, p.jz
+    c1 = (jy - jz) / jx
+    c2 = (jz - jx) / jy
+    c3 = (jx - jy) / jz
+    eps1, eps2 = cfg.epsilon1, cfg.epsilon2
+    ie1 = 1.0 / eps1
+    ie2 = 1.0 / eps2
+    use_hgdo = cfg.observer == "hgdo"
+    use_naive = cfg.observer == "naive"
+    capx, capy, capz = (float(v) for v in gn.torque_cap(p))
+    thrust_cap = gn.thrust_cap(p)
+    lam10, lam11, lam12 = (float(v) for v in gn.lam1)
+    lam20, lam21, lam22 = (float(v) for v in gn.lam2)
+    trajectory = cfg.trajectory
+    allocate = cfg.allocate
+    sfx, sfy, sfz, stx, sty, stz = slow
+    fd_vel, fd_rate, ref_vel, ref_acc, sp_rate, sp_acc = filters
+    # the model terms go through the same low-pass as the finite differences;
+    # without the matched lag, fast angular-acceleration content fails to
+    # cancel between the two forcing paths and feeds back into the torque
+    # (mt* are the raw terms, mf* the filtered ones: a * mf + (1 - a) * mt)
+    alpha = 5.0 / 6.0
+    beta = 1.0 - alpha
+    sin = math.sin
+    cos = math.cos
+
+    def tick(k, t, y, H, rows, ib, flags, state):
+        d1_naive, d2_naive, mt, mf, outer_flags, pos_d, vel_d, u1, sp = state
+        px, py, pz, vx, vy, vz, ph, th, ps, wp, wq, wr = y[0:12]
+        _, _, _, _, n0, n1, n2, n3, n4, n5, hf0, hf1, hf2, ht0, ht1, ht2 = H
+        vmx = vx + n0
+        vmy = vy + n1
+        vmz = vz + n2
+        rmp = wp + n3
+        rmq = wq + n4
+        rmr = wr + n5
+        f2x = c1 * rmq * rmr
+        f2y = c2 * rmp * rmr
+        f2z = c3 * rmp * rmq
+
+        if use_hgdo:
+            d1_hat = (y[12] + vmx * ie1, y[13] + vmy * ie1, y[14] + vmz * ie1)
+            d2_hat = (y[15] + rmp * ie2, y[16] + rmq * ie2, y[17] + rmr * ie2)
+        elif use_naive:
+            mt1x, mt1y, mt1z, mt2x, mt2y, mt2z = mt
+            mf1x, mf1y, mf1z, mf2x, mf2y, mf2z = mf
+            mf1x = alpha * mf1x + beta * mt1x
+            mf1y = alpha * mf1y + beta * mt1y
+            mf1z = alpha * mf1z + beta * mt1z
+            mf2x = alpha * mf2x + beta * mt2x
+            mf2y = alpha * mf2y + beta * mt2y
+            mf2z = alpha * mf2z + beta * mt2z
+            mf = (mf1x, mf1y, mf1z, mf2x, mf2y, mf2z)
+            d1_hat = d1_naive = naive_hgdo_step(
+                d1_naive, fd_vel.step((vmx, vmy, vmz), dt), (mf1x, mf1y, mf1z), eps1, dt)
+            d2_hat = d2_naive = naive_hgdo_step(
+                d2_naive, fd_rate.step((rmp, rmq, rmr), dt), (mf2x, mf2y, mf2z), eps2, dt)
+        else:
+            d1_hat = d2_hat = (0.0, 0.0, 0.0)
+
+        if k % outer_div == 0:
+            outer_flags = 0
+            pos_d = tuple(map(float, trajectory.position(t)))
+            psi_d = trajectory.yaw(t)
+            vel_d = ref_vel.step(pos_d, dt_outer)
+            acc_d = ref_acc.step(vel_d, dt_outer)
+            u1, clamped = outer_loop((px, py, pz), (vmx, vmy, vmz),
+                                     pos_d, vel_d, acc_d, d1_hat, gn, p)
+            if clamped:
+                outer_flags |= FLAG_OUTER_CLAMP
+            if u1[2] < gn.uz_min:
+                u1 = (u1[0], u1[1], float(gn.uz_min))
+                outer_flags |= FLAG_UZ_FLOOR
+            sp = extract_attitude(u1, psi_d, gn, p)
+            sp.rates = sp_rate.step(sp.angles, dt_outer)
+            sp.accels = sp_acc.step(sp.rates, dt_outer)
+            assert sp.thrust <= thrust_cap * (1.0 + 1e-9) + 1e-12
+        flags |= outer_flags
+        pd0, pd1, pd2 = pos_d
+        vd0, vd1, vd2 = vel_d
+        spa0, spa1, spa2 = sp.angles
+        sr0, sr1, sr2 = sp.rates
+        thrust_cmd = sp.thrust
+
+        u20, u21, u22 = inner_loop((ph, th, ps), (rmp, rmq, rmr), sp, d2_hat,
+                                   (f2x, f2y, f2z), gn)
+        tcx = jx * u20
+        tcy = jy * u21
+        tcz = jz * u22
+        if tcx > capx: tcx = capx; flags |= FLAG_TORQUE_CLAMP
+        elif tcx < -capx: tcx = -capx; flags |= FLAG_TORQUE_CLAMP
+        if tcy > capy: tcy = capy; flags |= FLAG_TORQUE_CLAMP
+        elif tcy < -capy: tcy = -capy; flags |= FLAG_TORQUE_CLAMP
+        if tcz > capz: tcz = capz; flags |= FLAG_TORQUE_CLAMP
+        elif tcz < -capz: tcz = -capz; flags |= FLAG_TORQUE_CLAMP
+        rotors = allocate_rotors(WrenchCommand(thrust_cmd, (tcx, tcy, tcz)), p)
+        om0, om1, om2, om3 = rotors.omega
+        if allocate:
+            if rotors.saturated:
+                flags |= FLAG_ROTOR_SAT
+            applied = rotor_wrench(rotors.omega, p)
+            thrust_act = applied.thrust
+            ta0, ta1, ta2 = applied.torque
+        else:
+            thrust_act = thrust_cmd
+            ta0, ta1, ta2 = tcx, tcy, tcz
+
+        if use_naive:
+            # forcing the next naive update integrates over [t, t+dt]
+            sph, cph = sin(ph), cos(ph)
+            sth, cth = sin(th), cos(th)
+            sps, cps = sin(ps), cos(ps)
+            a_act = thrust_act / m
+            mt = (-a_act * (cph * sth * cps + sph * sps),
+                  -a_act * (cph * sth * sps - sph * cps),
+                  g - a_act * cph * cth,
+                  -f2x - ta0 / jx, -f2y - ta1 / jy, -f2z - ta2 / jz)
+
+        e1x = pd0 - px
+        e1y = pd1 - py
+        e1z = pd2 - pz
+        ed1x = vd0 - vmx
+        ed1y = vd1 - vmy
+        ed1z = vd2 - vmz
+        s1x = ed1x + lam10 * e1x
+        s1y = ed1y + lam11 * e1y
+        s1z = ed1z + lam12 * e1z
+        e2x = spa0 - ph
+        e2y = spa1 - th
+        e2z = wrap_angle(spa2 - ps)
+        ed2x = sr0 - rmp
+        ed2y = sr1 - rmq
+        ed2z = sr2 - rmr
+        s2x = ed2x + lam20 * e2x
+        s2y = ed2y + lam21 * e2y
+        s2z = ed2z + lam22 * e2z
+
+        if rows is not None:
+            d0, d1, d2, d3, d4, d5 = rows[ib]
+            d1tx = hf0 + d0
+            d1ty = hf1 + d1
+            d1tz = hf2 + d2
+            d2tx = ht0 + d3
+            d2ty = ht1 + d4
+            d2tz = ht2 + d5
+        else:
+            pos = (px, py, pz)
+            d1tx = hf0 + (sfx(t, pos) if sfx is not None else 0.0)
+            d1ty = hf1 + (sfy(t, pos) if sfy is not None else 0.0)
+            d1tz = hf2 + (sfz(t, pos) if sfz is not None else 0.0)
+            d2tx = ht0 + (stx(t, pos) if stx is not None else 0.0)
+            d2ty = ht1 + (sty(t, pos) if sty is not None else 0.0)
+            d2tz = ht2 + (stz(t, pos) if stz is not None else 0.0)
+        dd1x = d1tx - d1_hat[0]
+        dd1y = d1ty - d1_hat[1]
+        dd1z = d1tz - d1_hat[2]
+        dd2x = d2tx - d2_hat[0]
+        dd2y = d2ty - d2_hat[1]
+        dd2z = d2tz - d2_hat[2]
+        lyap = 0.5 * ((s1x * s1x + s1y * s1y + s1z * s1z)
+                      + (s2x * s2x + s2y * s2y + s2z * s2z)
+                      + (dd1x * dd1x + dd1y * dd1y + dd1z * dd1z)
+                      + (dd2x * dd2x + dd2y * dd2y + dd2z * dd2z))
+
+        data[k] = (
+            t, px, py, pz, vx, vy, vz, ph, th, ps, wp, wq, wr,
+            pd0, pd1, pd2, spa0, spa1, spa2,
+            e1x, e1y, e1z, ed1x, ed1y, ed1z,
+            e2x, e2y, e2z, ed2x, ed2y, ed2z,
+            s1x, s1y, s1z, s2x, s2y, s2z,
+            d1tx, d1ty, d1tz, d2tx, d2ty, d2tz,
+            d1_hat[0], d1_hat[1], d1_hat[2], d2_hat[0], d2_hat[1], d2_hat[2],
+            u1[0], u1[1], u1[2], u20, u21, u22,
+            thrust_act, ta0, ta1, ta2, om0, om1, om2, om3,
+            vmx, vmy, vmz, rmp, rmq, rmr,
+            float(flags), lyap,
+        )
+        H[0] = thrust_act / m
+        H[1] = ta0 / jx
+        H[2] = ta1 / jy
+        H[3] = ta2 / jz
+        return d1_naive, d2_naive, mt, mf, outer_flags, pos_d, vel_d, u1, sp
+
+    state = (tuple(float(v) for v in cfg.d_hat0_force),
+             tuple(float(v) for v in cfg.d_hat0_torque),
+             (0.0,) * 6, (0.0,) * 6, 0, (0.0,) * 3, (0.0,) * 3, (0.0, 0.0, g),
+             AttitudeSetpoint((0.0, 0.0, 0.0), p.hover_thrust))
+    return tick, state
+
+
 def run_scenario(cfg: ScenarioConfig, params: VehicleParams | None = None,
                  gains: SmcGains | None = None) -> SimTrace:
     """Simulate one scenario and return its trace.
@@ -434,109 +701,27 @@ def run_scenario(cfg: ScenarioConfig, params: VehicleParams | None = None,
     dt = cfg.dt
     n_base = int(round(cfg.duration / dt))
     n_sub = cfg.n_substeps()
-    h = dt / n_sub
     outer_div = cfg.outer_divisor
-    dt_outer = dt * outer_div
-
-    m, g = p.m, p.g
-    jx, jy, jz = p.jx, p.jy, p.jz
-    c1 = (jy - jz) / jx
-    c2 = (jz - jx) / jy
-    c3 = (jx - jy) / jz
-    ie1 = 1.0 / cfg.epsilon1
-    ie2 = 1.0 / cfg.epsilon2
-    use_hgdo = cfg.observer == "hgdo"
-    use_naive = cfg.observer == "naive"
-    tau_cap = gn.torque_cap(p)
-    capx, capy, capz = (float(v) for v in tau_cap)
-    thrust_cap = gn.thrust_cap(p)
 
     _bind_stochastic(cfg.force_signals, cfg.seed, 0, dt)
     _bind_stochastic(cfg.torque_signals, cfg.seed, 1, dt)
     stoch_f = [s if s.stochastic else None for s in cfg.force_signals]
     stoch_t = [s if s.stochastic else None for s in cfg.torque_signals]
     have_stoch = any(s is not None for s in stoch_f + stoch_t)
-
-    lam10, lam11, lam12 = (float(v) for v in gn.lam1)
-    lam20, lam21, lam22 = (float(v) for v in gn.lam2)
-
-    noise = None
-    if cfg.noise_power > 0.0:
-        # sample variance, not spectral density: each held sensor sample has
-        # variance noise_power regardless of the base rate
-        sigma = math.sqrt(cfg.noise_power)
-        noise = np.empty((n_base + 1, 6))
-        for ch in range(6):
-            rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 97, ch]))
-            noise[:, ch] = rng.normal(0.0, sigma, n_base + 1)
+    noise = noise_table(cfg, n_base)
+    grid, slow = pregrid(cfg, n_sub, n_base)
+    advance = build_stepper(cfg, p, n_sub, dt / n_sub, slow)
+    data = np.empty((n_base + 1, len(TRACE_COLUMNS)))
+    tick, state = build_tick(cfg, p, gn, data, slow, differentiators(cfg))
 
     # state tuple: pos, vel, att, rate, gamma1, gamma2
-    g1 = hgdo_init(cfg.vel0, cfg.epsilon1, cfg.d_hat0_force).gamma
-    g2 = hgdo_init(cfg.rate0, cfg.epsilon2, cfg.d_hat0_torque, loop="rotational").gamma
+    g1 = hgdo_init(cfg.vel0, cfg.epsilon1, cfg.d_hat0_force)
+    g2 = hgdo_init(cfg.rate0, cfg.epsilon2, cfg.d_hat0_torque)
     y = tuple(float(v) for v in (*cfg.pos0, *cfg.vel0, *cfg.att0, *cfg.rate0, *g1, *g2))
-
-    d1_naive = tuple(float(v) for v in cfg.d_hat0_force)
-    d2_naive = tuple(float(v) for v in cfg.d_hat0_torque)
-    fd_vel = DerivativeFilter(tau=5.0 * dt, size=3)
-    fd_rate = DerivativeFilter(tau=5.0 * dt, size=3)
-    # the model terms go through the same low-pass as the finite differences;
-    # without the matched lag, fast angular-acceleration content fails to
-    # cancel between the two forcing paths and feeds back into the torque
-    # (mt* are the raw terms, mf* the filtered ones: a * mf + (1 - a) * mt)
-    mt1x = mt1y = mt1z = mt2x = mt2y = mt2z = 0.0
-    mf1x = mf1y = mf1z = mf2x = mf2y = mf2z = 0.0
-    naive_alpha = 5.0 / 6.0
-    naive_beta = 1.0 - naive_alpha
-
-    ref_vel_filter = DerivativeFilter(tau=4.0 * dt_outer, size=3)
-    ref_acc_filter = DerivativeFilter(tau=4.0 * dt_outer, size=3)
-    sp_rate_filter = DerivativeFilter(tau=4.0 * dt_outer, size=3)
-    sp_acc_filter = DerivativeFilter(tau=4.0 * dt_outer, size=3)
-    # warm up the reference differentiators on the pre-t=0 stretch of the
-    # trajectory so the feedforward is already settled at the first tick
-    for j in range(-25, 0):
-        pd = cfg.trajectory.position(j * dt_outer)
-        ref_acc_filter.step(ref_vel_filter.step(pd, dt_outer), dt_outer)
-
-    # held between outer ticks, which start at k = 0 (the scalars feed the
-    # trace and the error math on the base steps in between)
-    sp = AttitudeSetpoint((0.0, 0.0, 0.0), p.hover_thrust)
-    outer_flags = 0
-    pd0 = pd1 = pd2 = vd0 = vd1 = vd2 = 0.0
-    spa0 = spa1 = spa2 = sr0 = sr1 = sr2 = 0.0
-    u10, u11, u12 = 0.0, 0.0, g
-    thrust_cmd = p.hover_thrust
-
     # held across one base step for the RK4 stages:
     # [a_thrust, tau_x/jx, tau_y/jy, tau_z/jz, 6x noise, 3x stoch force, 3x stoch torque]
     H = [0.0] * 16
 
-    sin = math.sin
-    cos = math.cos
-
-    # Every RK4 stage lands on the half-substep grid, so pure-time
-    # deterministic signals are evaluated for the whole run in one
-    # vectorized pass. Position-dependent ones (ground effect) are evaluated
-    # per stage instead; the two paths never mix per signal.
-    det_all = list(cfg.force_signals) + list(cfg.torque_signals)
-    det = [j for j, s in enumerate(det_all) if not (s.stochastic or isinstance(s, Zero))]
-    slow = [None] * 6
-    grid = None
-    if any(det_all[j].needs_position for j in det):
-        for j in det:
-            slow[j] = det_all[j].value
-    elif det:
-        tgrid = np.arange(2 * n_sub * n_base + 1) * (0.5 * h)
-        grid = np.zeros((tgrid.size, 6))
-        for j in det:
-            # equal signals share the column of the first one
-            first = det_all.index(det_all[j])
-            grid[:, j] = det_all[j].value(tgrid) if first == j else grid[:, first]
-        del tgrid
-    sfx, sfy, sfz, stx_, sty_, stz_ = slow
-    advance = build_stepper(cfg, p, n_sub, h, slow)
-
-    data = np.empty((n_base + 1, len(TRACE_COLUMNS)))
     meta = {
         "name": cfg.name, "seed": cfg.seed, "dt": dt, "duration": cfg.duration,
         "outer_divisor": outer_div, "substeps": n_sub, "epsilon1": cfg.epsilon1,
@@ -560,10 +745,8 @@ def run_scenario(cfg: ScenarioConfig, params: VehicleParams | None = None,
         finish(k, k)
         return Diverged(message, SimTrace(data[:k].copy(), meta, cfg))
 
-    carry_flags = 0
+    carry = 0
     twon = 2 * n_sub
-    trajectory = cfg.trajectory
-    allocate = cfg.allocate
     nk = _NO_NOISE
     k_next = 0    # first base step of the next block
     for k in range(n_base + 1):
@@ -579,169 +762,15 @@ def run_scenario(cfg: ScenarioConfig, params: VehicleParams | None = None,
         ib = (k - k0) * twon
         if noise is not None:
             nk = noise_rows[k - k0]
-        px, py, pz, vx, vy, vz, ph, th, ps, wp, wq, wr = y[0:12]
         if have_stoch:
-            pos_now = (px, py, pz)
+            pos_now = (y[0], y[1], y[2])
             for ax in range(3):
                 H[10 + ax] = stoch_f[ax].advance(t, dt, pos_now) if stoch_f[ax] is not None else 0.0
                 H[13 + ax] = stoch_t[ax].advance(t, dt, pos_now) if stoch_t[ax] is not None else 0.0
         H[4:10] = nk
-
-        vmx = vx + nk[0]
-        vmy = vy + nk[1]
-        vmz = vz + nk[2]
-        rmp = wp + nk[3]
-        rmq = wq + nk[4]
-        rmr = wr + nk[5]
-        f2x = c1 * rmq * rmr
-        f2y = c2 * rmp * rmr
-        f2z = c3 * rmp * rmq
-
-        if use_hgdo:
-            d1_hat = (y[12] + vmx * ie1, y[13] + vmy * ie1, y[14] + vmz * ie1)
-            d2_hat = (y[15] + rmp * ie2, y[16] + rmq * ie2, y[17] + rmr * ie2)
-        elif use_naive:
-            mf1x = naive_alpha * mf1x + naive_beta * mt1x
-            mf1y = naive_alpha * mf1y + naive_beta * mt1y
-            mf1z = naive_alpha * mf1z + naive_beta * mt1z
-            mf2x = naive_alpha * mf2x + naive_beta * mt2x
-            mf2y = naive_alpha * mf2y + naive_beta * mt2y
-            mf2z = naive_alpha * mf2z + naive_beta * mt2z
-            d1_hat = d1_naive = naive_hgdo_step(
-                d1_naive, fd_vel.step((vmx, vmy, vmz), dt), (mf1x, mf1y, mf1z),
-                cfg.epsilon1, dt)
-            d2_hat = d2_naive = naive_hgdo_step(
-                d2_naive, fd_rate.step((rmp, rmq, rmr), dt), (mf2x, mf2y, mf2z),
-                cfg.epsilon2, dt)
-        else:
-            d1_hat = d2_hat = (0.0, 0.0, 0.0)
-
-        flags = carry_flags
-        carry_flags = 0
-        if k % outer_div == 0:
-            outer_flags = 0
-            pd0, pd1, pd2 = pos_d = tuple(map(float, trajectory.position(t)))
-            psi_d = trajectory.yaw(t)
-            vd0, vd1, vd2 = vel_d = ref_vel_filter.step(pos_d, dt_outer)
-            acc_d = ref_acc_filter.step(vel_d, dt_outer)
-            (u10, u11, u12), clamped = outer_loop((px, py, pz), (vmx, vmy, vmz),
-                                                  pos_d, vel_d, acc_d, d1_hat, gn, p)
-            if clamped:
-                outer_flags |= FLAG_OUTER_CLAMP
-            if u12 < gn.uz_min:
-                u12 = float(gn.uz_min)
-                outer_flags |= FLAG_UZ_FLOOR
-            sp = extract_attitude((u10, u11, u12), psi_d, gn, p)
-            sp.rates = sp_rate_filter.step(sp.angles, dt_outer)
-            sp.accels = sp_acc_filter.step(sp.rates, dt_outer)
-            spa0, spa1, spa2 = sp.angles
-            sr0, sr1, sr2 = sp.rates
-            thrust_cmd = sp.thrust
-            assert thrust_cmd <= thrust_cap * (1.0 + 1e-9) + 1e-12
-        flags |= outer_flags
-
-        u20, u21, u22 = inner_loop((ph, th, ps), (rmp, rmq, rmr), sp, d2_hat,
-                                   (f2x, f2y, f2z), gn)
-        tcx = jx * u20
-        tcy = jy * u21
-        tcz = jz * u22
-        if tcx > capx: tcx = capx; flags |= FLAG_TORQUE_CLAMP
-        elif tcx < -capx: tcx = -capx; flags |= FLAG_TORQUE_CLAMP
-        if tcy > capy: tcy = capy; flags |= FLAG_TORQUE_CLAMP
-        elif tcy < -capy: tcy = -capy; flags |= FLAG_TORQUE_CLAMP
-        if tcz > capz: tcz = capz; flags |= FLAG_TORQUE_CLAMP
-        elif tcz < -capz: tcz = -capz; flags |= FLAG_TORQUE_CLAMP
-        rotors = allocate_rotors(WrenchCommand(thrust_cmd, (tcx, tcy, tcz)), p)
-        om0, om1, om2, om3 = rotors.omega
-        if allocate:
-            if rotors.saturated:
-                flags |= FLAG_ROTOR_SAT
-            applied = rotor_wrench(rotors.omega, p)
-            thrust_act = applied.thrust
-            ta0, ta1, ta2 = applied.torque
-        else:
-            thrust_act = thrust_cmd
-            ta0, ta1, ta2 = tcx, tcy, tcz
-
-        if use_naive:
-            # forcing the next naive update integrates over [t, t+dt]
-            sph, cph = sin(ph), cos(ph)
-            sth, cth = sin(th), cos(th)
-            sps, cps = sin(ps), cos(ps)
-            a_act = thrust_act / m
-            mt1x = -a_act * (cph * sth * cps + sph * sps)
-            mt1y = -a_act * (cph * sth * sps - sph * cps)
-            mt1z = g - a_act * cph * cth
-            mt2x = -f2x - ta0 / jx
-            mt2y = -f2y - ta1 / jy
-            mt2z = -f2z - ta2 / jz
-
-        e1x = pd0 - px
-        e1y = pd1 - py
-        e1z = pd2 - pz
-        ed1x = vd0 - vmx
-        ed1y = vd1 - vmy
-        ed1z = vd2 - vmz
-        s1x = ed1x + lam10 * e1x
-        s1y = ed1y + lam11 * e1y
-        s1z = ed1z + lam12 * e1z
-        e2x = spa0 - ph
-        e2y = spa1 - th
-        e2z = wrap_angle(spa2 - ps)
-        ed2x = sr0 - rmp
-        ed2y = sr1 - rmq
-        ed2z = sr2 - rmr
-        s2x = ed2x + lam20 * e2x
-        s2y = ed2y + lam21 * e2y
-        s2z = ed2z + lam22 * e2z
-
-        if rows is not None:
-            gr = rows[ib]
-            d1tx = H[10] + gr[0]
-            d1ty = H[11] + gr[1]
-            d1tz = H[12] + gr[2]
-            d2tx = H[13] + gr[3]
-            d2ty = H[14] + gr[4]
-            d2tz = H[15] + gr[5]
-        else:
-            pos_now = (px, py, pz)
-            d1tx = H[10] + (sfx(t, pos_now) if sfx is not None else 0.0)
-            d1ty = H[11] + (sfy(t, pos_now) if sfy is not None else 0.0)
-            d1tz = H[12] + (sfz(t, pos_now) if sfz is not None else 0.0)
-            d2tx = H[13] + (stx_(t, pos_now) if stx_ is not None else 0.0)
-            d2ty = H[14] + (sty_(t, pos_now) if sty_ is not None else 0.0)
-            d2tz = H[15] + (stz_(t, pos_now) if stz_ is not None else 0.0)
-        dd1x = d1tx - d1_hat[0]
-        dd1y = d1ty - d1_hat[1]
-        dd1z = d1tz - d1_hat[2]
-        dd2x = d2tx - d2_hat[0]
-        dd2y = d2ty - d2_hat[1]
-        dd2z = d2tz - d2_hat[2]
-        lyap = 0.5 * ((s1x * s1x + s1y * s1y + s1z * s1z)
-                      + (s2x * s2x + s2y * s2y + s2z * s2z)
-                      + (dd1x * dd1x + dd1y * dd1y + dd1z * dd1z)
-                      + (dd2x * dd2x + dd2y * dd2y + dd2z * dd2z))
-
-        data[k] = (
-            t, px, py, pz, vx, vy, vz, ph, th, ps, wp, wq, wr,
-            pd0, pd1, pd2, spa0, spa1, spa2,
-            e1x, e1y, e1z, ed1x, ed1y, ed1z,
-            e2x, e2y, e2z, ed2x, ed2y, ed2z,
-            s1x, s1y, s1z, s2x, s2y, s2z,
-            d1tx, d1ty, d1tz, d2tx, d2ty, d2tz,
-            d1_hat[0], d1_hat[1], d1_hat[2], d2_hat[0], d2_hat[1], d2_hat[2],
-            u10, u11, u12, u20, u21, u22,
-            thrust_act, ta0, ta1, ta2, om0, om1, om2, om3,
-            vmx, vmy, vmz, rmp, rmq, rmr,
-            float(flags), lyap,
-        )
+        state = tick(k, t, y, H, rows, ib, carry, state)
         if k == n_base:
             break
-
-        H[0] = thrust_act / m
-        H[1] = ta0 / jx
-        H[2] = ta1 / jy
-        H[3] = ta2 / jz
 
         y = advance(y, H, rows, ib, t)
 
@@ -759,9 +788,10 @@ def run_scenario(cfg: ScenarioConfig, params: VehicleParams | None = None,
             raise partial(k + 1, f"body rate left the envelope at t={t + dt:.3f}")
 
         ph, th, ps = y[6], y[7], y[8]
+        carry = 0
         if abs(th) > PITCH_LIMIT:
             th = PITCH_LIMIT if th > 0.0 else -PITCH_LIMIT
-            carry_flags |= FLAG_PITCH_CLAMP
+            carry = FLAG_PITCH_CLAMP
         if abs(ph) > math.pi or abs(ps) > math.pi:
             ph = wrap_angle(ph)
             ps = wrap_angle(ps)

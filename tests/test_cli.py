@@ -320,3 +320,85 @@ class TestUsage:
         assert err.startswith("config error: ") and "at $.gains: " in err
         assert "Traceback" not in err
         assert not (tmp_path / "out").exists()
+
+
+SCENARIO_DIR = GROUND_EFFECT.parent
+# check-bounds needs deterministic, position-free disturbances: 3 otherwise
+CHECK_BOUNDS_CODE = {"bound_check": 0, "dryden_lemniscate": 3, "ground_effect": 3,
+                     "hover_step": 3, "lemniscate_composite": 0, "noise_study": 3}
+
+
+def shortened(tmp_path, name, **extra):
+    """A copy of a shipped scenario in tmp_path, cut to 0.5 s."""
+    doc = json.loads((SCENARIO_DIR / f"{name}.json").read_text())
+    doc.update({"duration": 0.5, **extra})
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(doc))
+    return path
+
+
+class TestExitCodeMatrix:
+    """Every shipped scenario through every subcommand ends in its documented
+    exit code, never in a traceback."""
+
+    @pytest.mark.parametrize("name", sorted(CHECK_BOUNDS_CODE))
+    def test_every_subcommand(self, tmp_path, capsys, name):
+        cfg = str(shortened(tmp_path, name))
+        out = str(tmp_path / "out")
+        for argv, code in (
+            (["simulate", cfg, "--out", out], 0),
+            (["sweep", cfg, "--out", out], 0),
+            (["compare", cfg, cfg, "--out", out], 0),
+            (["check-bounds", cfg], CHECK_BOUNDS_CODE[name]),
+            (["plot", str(tmp_path / "out" / "trace.csv")], 0),
+        ):
+            assert main(argv) == code, argv
+            assert "Traceback" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize("skip", ["0.5", "100", "nan", "inf", "-inf", "-1"])
+    @pytest.mark.parametrize("command", ["simulate", "sweep", "compare"])
+    def test_skip_outside_the_run_is_config_error(self, tmp_path, capsys, command, skip):
+        cfg = str(shortened(tmp_path, "bound_check"))
+        out = tmp_path / "out"
+        files = [cfg, cfg] if command == "compare" else [cfg]
+        assert main([command, *files, f"--skip={skip}", "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert "--skip" in err and "Traceback" not in err
+        assert not out.exists()    # refused before the run
+
+    def test_skip_inside_the_run_is_accepted(self, tmp_path):
+        cfg = str(shortened(tmp_path, "bound_check"))
+        assert main(["simulate", cfg, "--skip", "0.5", "--out", str(tmp_path / "o")]) == 3
+        assert main(["simulate", cfg, "--skip", "0.498", "--out", str(tmp_path / "o")]) == 0
+        report = json.loads((tmp_path / "o" / "metrics.json").read_text())
+        assert report["skip"] == 0.498
+
+    def test_run_diverged_before_skip(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, observer="none", duration=10.0,
+                        disturbances=[{"kind": "constant", "domain": "force",
+                                       "axis": "z", "value": 60.0}])
+        out = tmp_path / "out"
+        assert main(["simulate", str(cfg), "--skip", "9", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "diverged" in err and "no metrics" in err
+        assert (out / "trace.csv").exists() and not (out / "metrics.json").exists()
+
+    @pytest.mark.parametrize("command", ["simulate", "sweep", "compare", "check-bounds"])
+    def test_huge_integer_is_config_error(self, tmp_path, capsys, command):
+        path = shortened(tmp_path, "bound_check")
+        path.write_text(path.read_text().replace('"duration": 0.5', '"duration": 1' + "0" * 400))
+        files = [str(path), str(path)] if command == "compare" else [str(path)]
+        out = [] if command == "check-bounds" else ["--out", str(tmp_path / "out")]
+        assert main([command, *files, *out]) == 3
+        err = capsys.readouterr().err
+        assert "$.duration" in err and "too large" in err and "Traceback" not in err
+
+    def test_integer_too_long_to_parse_is_config_error(self, tmp_path, capsys):
+        path = shortened(tmp_path, "bound_check")
+        path.write_text(path.read_text().replace('"duration": 0.5', '"duration": 1' + "0" * 5000))
+        assert main(["simulate", str(path), "--out", str(tmp_path / "out")]) == 3
+        assert "too long" in capsys.readouterr().err
+
+    def test_huge_integer_seed_runs(self, tmp_path):
+        path = shortened(tmp_path, "noise_study", seed=10 ** 400, duration=0.05)
+        assert main(["simulate", str(path), "--out", str(tmp_path / "out")]) == 0

@@ -12,11 +12,11 @@ from hgdosim.control import (
     gain_check,
     inner_loop,
     outer_loop,
-    sat,
-    sliding_surface,
     wrap_angle,
 )
-from hgdosim.quad import MICRO_QUAD, f2, thrust_direction
+from hgdosim.quad import MICRO_QUAD, thrust_direction
+from hgdosim.sim import ScenarioConfig, run_scenario
+from hgdosim.trajectories import HoverRamp
 
 P = MICRO_QUAD
 G = DEFAULT_GAINS
@@ -34,29 +34,53 @@ class TestPrimitives:
         assert wrap_angle(-6.2) == pytest.approx(2.0 * math.pi - 6.2)
 
     def test_sat_linear_inside_layer(self):
-        assert sat(0.02, 0.05) == pytest.approx(0.4)
-        assert sat(-0.02, 0.05) == pytest.approx(-0.4)
+        assert switch([0.02, -0.02, 0.0], 0.05) == pytest.approx([0.4, -0.4, 0.0])
 
     def test_sat_clips(self):
-        assert sat(0.2, 0.05) == 1.0
-        assert sat(-7.0, 0.05) == -1.0
+        assert switch([0.2, -7.0, 0.0], 0.05) == (1.0, -1.0, 0.0)
 
     def test_sat_vector(self):
-        out = sat(np.array([0.025, -0.1, 0.0]), 0.05)
+        out = switch([0.025, -0.1, 0.0], 0.05)
         assert np.allclose(out, [0.5, -1.0, 0.0])
 
     def test_sat_rejects_bad_layer(self):
+        z = np.zeros(3)
+        bad = SmcGains(mu=0.0)
         with pytest.raises(ValueError):
-            sat(0.1, 0.0)
+            inner_loop(z, z, AttitudeSetpoint(z, 0.3), z, z, bad)
+        with pytest.raises(ValueError):
+            outer_loop(z, z, z, z, z, z, bad, P)
 
     def test_surface(self):
-        s = sliding_surface([0.1, 0.0, 0.0], np.zeros(3), G.lam1)
-        assert s[0] == pytest.approx(0.0358, abs=1e-15)
-        assert s[1] == 0.0 and s[2] == 0.0
+        tr = surface_trace()
+        names = ("ex", "ey", "ez"), ("evx", "evy", "evz"), ("s1x", "s1y", "s1z")
+        e, e_dot, s = (tr.cols(*n) for n in names)
+        assert np.abs(e).max() > 0.05
+        assert s.tobytes() == (e_dot + G.lam1 * e).tobytes()
 
     def test_surface_rate_term(self):
-        s = sliding_surface(np.zeros(3), [0.0, 2.0, 0.0], G.lam1)
-        assert np.allclose(s, [0.0, 2.0, 0.0])
+        tr = surface_trace()
+        names = ("ephi", "etheta", "epsi"), ("ep", "eq", "er"), ("s2x", "s2y", "s2z")
+        e, e_dot, s = (tr.cols(*n) for n in names)
+        assert np.abs(e_dot).max() > 0.05
+        assert s.tobytes() == (e_dot + G.lam2 * e).tobytes()
+
+
+def switch(s, mu):
+    """The boundary-layer switch sat(s/mu), per channel, as the inner loop
+    applies it: with lam = 0, k = 1 and l = 0 each command is the switch of
+    its rate error, here s."""
+    gains = SmcGains(lam2=np.zeros(3), k2=np.ones(3), l2=np.zeros(3), mu=mu)
+    sp = AttitudeSetpoint((0.0, 0.0, 0.0), 0.3, tuple(s))
+    z = np.zeros(3)
+    return inner_loop(z, z, sp, z, z, gains)
+
+
+def surface_trace():
+    """A short run off its setpoint, for the surface columns s = e_dot + lam*e."""
+    cfg = ScenarioConfig(duration=0.2, trajectory=HoverRamp(target=np.array([0.3, -0.2, 0.6])),
+                         pos0=np.array([0.0, 0.0, 0.5]))
+    return run_scenario(cfg)
 
 
 class TestOuterLoop:
@@ -144,7 +168,9 @@ class TestInnerLoop:
         accels = np.array([1.0, -2.0, 0.5])
         d2 = np.array([0.2, 0.1, -0.3])
         sp = AttitudeSetpoint(att.copy(), 0.3, rate.copy(), accels)
-        f2val = f2(rate, P)
+        f2val = np.array([(P.jy - P.jz) / P.jx * rate[1] * rate[2],
+                          (P.jz - P.jx) / P.jy * rate[0] * rate[2],
+                          (P.jx - P.jy) / P.jz * rate[0] * rate[1]])
         u2 = inner_loop(att, rate, sp, d2, f2val, G)
         assert np.allclose(u2, accels - f2val - d2, atol=1e-14)
 

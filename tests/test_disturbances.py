@@ -8,7 +8,6 @@ from numpy.testing import assert_allclose
 
 from hgdosim.disturbances import (
     COMPOSITE_BOUND,
-    BoxGated,
     CompositeSinusoid,
     Constant,
     DrydenFilter,
@@ -155,23 +154,14 @@ class TestDryden:
 
 
 class TestPositionShaping:
-    def test_box_gate(self):
-        sig = BoxGated(Constant(1.0), lo=(-1, -1, 0), hi=(1, 1, 2))
-        assert sig.value(0.0, pos=(0.0, 0.0, 1.0)) == 1.0
-        assert sig.value(0.0, pos=(0.0, 0.0, 3.0)) == 0.0
-        assert sig.value(0.0, pos=(2.0, 0.0, 1.0)) == 0.0
-
-    def test_gate_requires_position(self):
-        sig = BoxGated(Constant(1.0), lo=(-1, -1, -1), hi=(1, 1, 1))
-        with pytest.raises(ValueError):
-            sig.value(0.0)
-
     def test_ground_effect_profile(self):
         sig = GroundEffect(strength=0.3, z_ref=0.3)
         assert_allclose(sig.value(0.0, pos=(0, 0, 0.0)), 0.3, rtol=0)
         assert_allclose(sig.value(0.0, pos=(0, 0, 0.15)), 0.15, rtol=1e-12)
         assert sig.value(0.0, pos=(0, 0, 0.5)) == 0.0
         assert sig.value(0.0, pos=(0, 0, 5.0)) == 0.0
+        with pytest.raises(ValueError):
+            sig.value(0.0)
 
 
 class TestAlgebra:
@@ -278,8 +268,6 @@ class TestDerivativeL1:
             derivative_l1(ValueOnly(), 0.0, 1.0)
 
     def test_stochastic_rejected(self):
-        for sig in (WhiteNoise(0.1), DrydenGust("u"),
-                    BoxGated(Constant(1.0), (-1, -1, -1), (1, 1, 1)),
-                    GroundEffect()):
+        for sig in (WhiteNoise(0.1), DrydenGust("u"), GroundEffect()):
             with pytest.raises(NonDifferentiable):
                 derivative_l1(sig, 0.0, 1.0)

@@ -1,4 +1,8 @@
-"""Observer checks: filter response, bounds, and the derivative-free interface."""
+"""Observer checks: filter response, bounds, and the derivative-free interface.
+
+The auxiliary observer is exercised through the engine's RK4 kernel
+(sim.build_stepper), which integrates it together with the plant.
+"""
 
 import inspect
 import math
@@ -11,63 +15,64 @@ from hgdosim.disturbances import CompositeSinusoid, derivative_l1, white_noise
 from hgdosim.integrate import NonFinite, rk4_step
 from hgdosim.observers import (
     DerivativeFilter,
-    HgdoState,
     NonPositiveEpsilon,
-    gamma_dot_rot,
-    gamma_dot_trans,
     hgdo_init,
-    hgdo_step_rot,
-    hgdo_step_trans,
     naive_hgdo_step,
-    reconstruct,
 )
+from hgdosim.quad import MICRO_QUAD
+from hgdosim.sim import ScenarioConfig, build_stepper
 
-G = 9.81
-GVEC = np.array([0.0, 0.0, G])
+G = MICRO_QUAD.g
+
+
+def hover_kernel(eps, dt, channel, d_fn):
+    """The engine's kernel with the hgdo observer on, one RK4 substep per
+    step of dt, and d_fn(t) as the deterministic disturbance of one channel
+    (0-2 force, 3-5 torque), evaluated at every RK4 stage."""
+    cfg = ScenarioConfig(epsilon1=eps, epsilon2=eps, observer="hgdo", dt=dt, substeps=1)
+    slow = [None] * 6
+    slow[channel] = lambda t, pos: d_fn(t)
+    return build_stepper(cfg, MICRO_QUAD, 1, dt, slow)
 
 
 def run_coupled(d_fn, eps, dt, t_end, v0=0.0):
-    """Integrate plant velocity and observer together, disturbance on z.
+    """Integrate plant and observer together in the engine's kernel,
+    disturbance on z.
 
-    The velocity ODE is v' = d(t) (thrust balancing gravity exactly), and the
-    observer rides along in the same RK4 call, which is how the engine treats
-    it. Returns (ts, d_hat_z, d_true_z).
+    Zero attitude and a held thrust acceleration H[0] = g balance gravity,
+    so the plant's vertical velocity obeys v' = d(t). Returns (ts, d_hat_z,
+    d_true_z).
     """
-
-    def f(t, y):
-        x2 = y[:3]
-        gamma = y[3:]
-        dx2 = np.array([0.0, 0.0, d_fn(t)])
-        dgamma = gamma_dot_trans(gamma, x2, GVEC, eps, G)
-        return np.concatenate([dx2, dgamma])
-
-    st = hgdo_init(np.array([0.0, 0.0, v0]), eps)
-    y = np.concatenate([[0.0, 0.0, v0], st.gamma])
+    advance = hover_kernel(eps, dt, 2, d_fn)
+    y = (0.0, 0.0, 0.0, 0.0, 0.0, v0) + (0.0,) * 6 + hgdo_init((0.0, 0.0, v0), eps) + (0.0,) * 3
+    H = [G] + [0.0] * 15
     n = int(round(t_end / dt))
     ts = np.zeros(n + 1)
     dhat = np.zeros(n + 1)
     dtrue = np.zeros(n + 1)
-    dhat[0] = reconstruct(HgdoState(y[3:], eps), y[:3])[2]
+    dhat[0] = y[14] + y[5] / eps
     dtrue[0] = d_fn(0.0)
     for k in range(n):
         t = k * dt
-        y = rk4_step(f, t, y, dt)
+        y = advance(y, H, None, 0, t)
         ts[k + 1] = t + dt
-        dhat[k + 1] = y[5] + y[2] / eps
+        dhat[k + 1] = y[14] + y[5] / eps
         dtrue[k + 1] = d_fn(t + dt)
     return ts, dhat, dtrue
 
 
 class TestInit:
     def test_gamma_cancels_state(self):
-        st = hgdo_init(np.array([1.0, 2.0, 3.0]), 0.01)
-        assert_allclose(st.gamma, [-100.0, -200.0, -300.0], rtol=1e-15)
-        assert_allclose(reconstruct(st, [1.0, 2.0, 3.0]), np.zeros(3), atol=1e-12)
+        gamma = hgdo_init(np.array([1.0, 2.0, 3.0]), 0.01)
+        assert_allclose(gamma, [-100.0, -200.0, -300.0], rtol=1e-15)
+        assert_allclose(np.array(gamma) + np.array([1.0, 2.0, 3.0]) / 0.01, np.zeros(3),
+                        atol=1e-12)
 
     def test_nonzero_prior(self):
         prior = np.array([0.1, -0.2, 0.3])
-        st = hgdo_init(np.zeros(3), 0.04, d_hat0=prior)
-        assert_allclose(reconstruct(st, np.zeros(3)), prior, rtol=0)
+        gamma = hgdo_init(np.zeros(3), 0.04, d_hat0=prior)
+        assert type(gamma) is tuple and all(type(v) is float for v in gamma)
+        assert_allclose(np.array(gamma) + np.zeros(3) / 0.04, prior, rtol=0)
 
     def test_epsilon_must_be_positive(self):
         for bad in (0.0, -0.01):
@@ -103,38 +108,13 @@ class TestStepResponse:
         eps = 0.02
         dt = eps / 20.0
         d0 = 0.3
-
-        def f(t, y):
-            x4, gamma = y[:3], y[3:]
-            dx4 = np.array([d0, 0.0, 0.0])
-            return np.concatenate(
-                [dx4, gamma_dot_rot(gamma, x4, np.zeros(3), np.zeros(3), eps)])
-
-        st = hgdo_init(np.zeros(3), eps, loop="rotational")
-        y = np.concatenate([np.zeros(3), st.gamma])
+        advance = hover_kernel(eps, dt, 3, lambda t: d0)
+        y = (0.0,) * 12 + hgdo_init(np.zeros(3), eps) + hgdo_init(np.zeros(3), eps)
+        H = [G] + [0.0] * 15
         for k in range(20):
-            y = rk4_step(f, k * dt, y, dt)
-        dhat = y[3] + y[0] / eps
+            y = advance(y, H, None, 0, k * dt)
+        dhat = y[15] + y[9] / eps
         assert_allclose(dhat, d0 * (1.0 - math.exp(-1.0)), rtol=1e-6)
-
-    def test_zoh_step_helpers_converge(self):
-        # standalone stepping with held measurements lands on the filter
-        # response once dt is small against eps
-        eps, dt, d0 = 0.01, 2e-5, 0.6
-        st = hgdo_init(np.zeros(3), eps)
-        v = np.zeros(3)
-        n = int(round(eps / dt))
-        for _ in range(n):
-            st = hgdo_step_trans(st, v, GVEC, G, dt)
-            v = v + np.array([0.0, 0.0, d0]) * dt  # plant moves after the hold
-        dhat = reconstruct(st, v)[2]
-        assert_allclose(dhat, d0 * (1.0 - math.exp(-1.0)), rtol=2e-3)
-
-    def test_rot_zoh_step_runs(self):
-        st = hgdo_init(np.zeros(3), 0.05, loop="rotational")
-        out = hgdo_step_rot(st, np.zeros(3), np.zeros(3), np.zeros(3), 1e-3)
-        assert out.epsilon == 0.05
-        assert out.loop == "rotational"
 
 
 class TestNaiveVariant:
@@ -161,16 +141,23 @@ class TestNaiveVariant:
         n = 5000
         rng = np.random.default_rng(314)
         noise = white_noise(power, dt, rng, size=n + 1)
-        vm = d0 * dt * np.arange(n + 1) + noise  # measured velocity, truth is a ramp
 
-        st = hgdo_init(np.array([0.0, 0.0, vm[0]]), eps)
+        # the engine's kernel: the true velocity ramps at d0, and the
+        # observer sees it through the noise held over each step (H[6])
+        advance = hover_kernel(eps, dt, 2, lambda t: d0)
+        y = (0.0,) * 12 + hgdo_init(np.array([0.0, 0.0, noise[0]]), eps) + (0.0,) * 3
+        H = [G] + [0.0] * 15
+        vm = np.zeros(n + 1)  # measured velocity
+        vm[0] = noise[0]
         aux = np.zeros(n + 1)
         for k in range(n):
-            x2m = np.array([0.0, 0.0, vm[k]])
-            st = hgdo_step_trans(st, x2m, GVEC, G, dt)
-            aux[k + 1] = reconstruct(st, np.array([0.0, 0.0, vm[k + 1]]))[2]
+            H[6] = noise[k]
+            y = advance(y, H, None, 0, k * dt)
+            vm[k + 1] = y[5] + noise[k + 1]
+            aux[k + 1] = y[14] + vm[k + 1] / eps
+        assert_allclose(vm - noise, d0 * dt * np.arange(n + 1), rtol=1e-9, atol=1e-12)
 
-        dfilt = DerivativeFilter(tau=5.0 * dt, size=3)
+        dfilt = DerivativeFilter(tau=5.0 * dt)
         dhat = np.zeros(3)
         naive = np.zeros(n + 1)
         for k in range(n):
@@ -214,7 +201,9 @@ class TestTracking:
 
 class TestInterface:
     def test_auxiliary_steps_take_no_derivative_input(self):
-        for fn in (hgdo_step_trans, hgdo_step_rot, gamma_dot_trans, gamma_dot_rot):
+        # the engine's observer: its start, its kernel and the kernel's step
+        advance = hover_kernel(0.01, 0.002, 2, lambda t: 0.0)
+        for fn in (hgdo_init, build_stepper, advance):
             names = set(inspect.signature(fn).parameters)
             assert not any("dot" in n or "deriv" in n for n in names), fn.__name__
 
@@ -225,22 +214,22 @@ class TestInterface:
 
 class TestDerivativeFilter:
     def test_ramp_converges_to_slope(self):
-        f = DerivativeFilter(tau=0.05, size=1)
+        f = DerivativeFilter(tau=0.05)
         dt = 0.01
         for k in range(60):
-            est = f.step(np.array([2.5 * k * dt]), dt)
-        assert_allclose(est, [2.5], rtol=1e-3)
+            est = f.step(np.array([2.5, -1.0, 0.0]) * (k * dt), dt)
+        assert_allclose(est, [2.5, -1.0, 0.0], rtol=1e-3)
 
     def test_first_call_returns_zero(self):
-        f = DerivativeFilter(tau=0.05, size=3)
+        f = DerivativeFilter(tau=0.05)
         assert_allclose(f.step(np.ones(3), 0.01), np.zeros(3), atol=0)
 
     def test_reset(self):
-        f = DerivativeFilter(tau=0.05, size=1)
-        f.step(np.array([1.0]), 0.01)
-        f.step(np.array([2.0]), 0.01)
+        f = DerivativeFilter(tau=0.05)
+        f.step(np.array([1.0, -1.0, 0.5]), 0.01)
+        f.step(np.array([2.0, -3.0, 0.5]), 0.01)
         f.reset()
-        assert_allclose(f.step(np.array([5.0]), 0.01), [0.0], atol=0)
+        assert_allclose(f.step(np.array([5.0, 4.0, -2.0]), 0.01), np.zeros(3), atol=0)
 
 
 def _naive_array_oracle(d_hat, x_dot, model_term, eps, dt):
@@ -294,7 +283,7 @@ class TestScalarFormsMatchArrayForms:
         rng = np.random.default_rng(99)
         for _ in range(20):
             tau = 10.0 ** rng.uniform(-4.0, 0.0)
-            scalar = DerivativeFilter(tau=tau, size=3)
+            scalar = DerivativeFilter(tau=tau)
             array = _ArrayDerivativeFilter(tau, 3)
             xs = awkward(rng, (50, 3))
             dts = 10.0 ** rng.uniform(-4.0, -1.0, size=50)

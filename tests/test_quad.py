@@ -1,4 +1,8 @@
-"""Model-level checks: kinematic maps, rotor maps, canonical/full dynamics."""
+"""Model-level checks: kinematic maps, rotor maps, canonical/full dynamics.
+
+The dynamics are checked on the engine's RK4 kernel (sim.build_stepper),
+the one place the equations of motion are written.
+"""
 
 import numpy as np
 import pytest
@@ -6,20 +10,15 @@ from numpy.testing import assert_allclose
 
 from hgdosim.quad import (
     MICRO_QUAD,
-    GimbalLock,
-    RigidState,
     RotorSpeeds,
     VehicleParams,
     WrenchCommand,
     allocate_rotors,
-    canonical_deriv,
-    euler_rate_matrix,
-    f2,
-    full_nonlinear_deriv,
     rotation_matrix,
     rotor_wrench,
     thrust_direction,
 )
+from hgdosim.sim import ScenarioConfig, build_stepper
 
 # Reference DCM at (0.1, 0.2, 0.3), evaluated term by term at 50 digits.
 R_REF = np.array([
@@ -59,26 +58,47 @@ class TestRotation:
         assert_allclose(thrust_direction(att), rotation_matrix(att)[:, 2], rtol=0, atol=0)
 
 
+def kernel_deriv(att=(0.0, 0.0, 0.0), rate=(0.0, 0.0, 0.0), accel=0.0,
+                 u2vec=(0.0, 0.0, 0.0), plant="canonical", pos=(0.0, 0.0, 0.0),
+                 vel=(0.0, 0.0, 0.0), p=MICRO_QUAD, h=1e-7):
+    """The plant's state derivative (pos, vel, att, rate) as the engine's
+    kernel sees it, from one RK4 step of length h: first-order accurate in
+    h. accel is the held thrust per unit mass, u2vec the torque per unit
+    inertia."""
+    cfg = ScenarioConfig(plant=plant, observer="none", substeps=1)
+    advance = build_stepper(cfg, p, 1, h, [None] * 6)
+    y = tuple(float(v) for v in (*pos, *vel, *att, *rate)) + (0.0,) * 6
+    H = [float(accel), *map(float, u2vec)] + [0.0] * 12
+    out = advance(y, H, None, 0, 0.0)
+    return (np.array(out[:12]) - np.array(y[:12])) / h
+
+
 class TestEulerRateMatrix:
+    """The full plant's Euler kinematics, eta_dot = H(eta) @ omega."""
+
     def test_identity_at_zero(self):
-        assert_allclose(euler_rate_matrix((0.0, 0.0, 0.0)), np.eye(3), atol=1e-15)
+        rng = np.random.default_rng(3)
+        for _ in range(20):
+            omega = rng.uniform(-1.0, 1.0, 3)
+            d = kernel_deriv(rate=omega, plant="full")
+            assert_allclose(d[6:9], omega, atol=1e-6)
 
     def test_quarter_roll(self):
-        h = euler_rate_matrix((np.pi / 4, 0.0, 0.0))
         c = np.sqrt(2) / 2
         expect = np.array([[1.0, 0.0, 0.0], [0.0, c, -c], [0.0, c, c]])
-        assert_allclose(h, expect, atol=1e-15)
-
-    def test_gimbal_lock_raises(self):
-        with pytest.raises(GimbalLock):
-            euler_rate_matrix((0.0, np.pi / 2, 0.0))
+        for i, omega in enumerate(np.eye(3)):
+            d = kernel_deriv(att=(np.pi / 4, 0.0, 0.0), rate=omega, plant="full")
+            assert_allclose(d[6:9], expect[:, i], atol=1e-6)
 
     def test_invertible_away_from_singularity(self):
+        # det H = 1 / cos(theta), read off the kernel column by column
         rng = np.random.default_rng(3)
-        for _ in range(200):
+        for _ in range(20):
             att = rng.uniform(-1.0, 1.0, 3)  # |theta| < 1 keeps cos(theta) > 0.54
-            h = euler_rate_matrix(att)
+            h = np.column_stack([kernel_deriv(att=att, rate=omega, plant="full")[6:9]
+                                 for omega in np.eye(3)])
             assert abs(np.linalg.det(h)) > 0.5
+            assert_allclose(np.linalg.det(h), 1.0 / np.cos(att[1]), rtol=1e-5)
 
 
 class TestRotorMaps:
@@ -141,55 +161,40 @@ class TestRotorMaps:
 
 class TestDynamics:
     def test_f2_zero_rates(self):
-        assert_allclose(f2(np.zeros(3), MICRO_QUAD), np.zeros(3), atol=0)
+        assert_allclose(kernel_deriv()[9:12], np.zeros(3), atol=0)
 
     def test_f2_pitch_yaw_coupling(self):
-        out = f2(np.array([0.0, 1.0, 1.0]), MICRO_QUAD)
-        assert_allclose(out, [-0.55, 0.0, 0.0], rtol=1e-12, atol=1e-15)
+        d = kernel_deriv(rate=(0.0, 1.0, 1.0))
+        assert_allclose(d[9:12], [-0.55, 0.0, 0.0], rtol=1e-6, atol=1e-6)
 
     def test_hover_equilibrium(self):
-        p = MICRO_QUAD
-        s = RigidState(pos=np.array([0.0, 0.0, 0.5]))
-        u1vec = np.array([0.0, 0.0, p.g])
-        ds = canonical_deriv(s, u1vec, np.zeros(3), np.zeros(3), np.zeros(3), p)
-        assert_allclose(ds.as_vector(), np.zeros(12), atol=1e-15)
+        d = kernel_deriv(pos=(0.0, 0.0, 0.5), accel=MICRO_QUAD.g)
+        assert_allclose(d, np.zeros(12), atol=0)
 
     def test_free_fall(self):
-        ds = canonical_deriv(RigidState(), np.zeros(3), np.zeros(3),
-                             np.zeros(3), np.zeros(3), MICRO_QUAD)
-        assert_allclose(ds.vel, [0.0, 0.0, -MICRO_QUAD.g], rtol=0)
+        d = kernel_deriv()
+        assert_allclose(d[3:6], [0.0, 0.0, -MICRO_QUAD.g], rtol=1e-12)
 
     def test_inputs_enter_linearly(self):
         rng = np.random.default_rng(17)
-        p = MICRO_QUAD
-        s = RigidState(rng.normal(size=3), rng.normal(size=3),
-                       rng.uniform(-0.5, 0.5, 3), rng.normal(size=3))
-        u1a, u1b = rng.normal(size=3), rng.normal(size=3)
-        d1 = rng.normal(size=3)
-        base = canonical_deriv(s, u1a, np.zeros(3), d1, np.zeros(3), p)
-        summed = canonical_deriv(s, u1a + u1b, np.zeros(3), d1, np.zeros(3), p)
-        assert_allclose(summed.vel - base.vel, u1b, rtol=1e-12, atol=1e-12)
+        state = dict(pos=rng.normal(size=3), vel=rng.normal(size=3),
+                     att=rng.uniform(-0.5, 0.5, 3), rate=rng.normal(size=3))
+        att = state["att"]
+        base = kernel_deriv(accel=9.0, **state)
+        more = kernel_deriv(accel=10.0, **state)
+        assert_allclose(more[3:6] - base[3:6], thrust_direction(att), atol=1e-5)
         u2a, u2b = rng.normal(size=3), rng.normal(size=3)
-        base = canonical_deriv(s, u1a, u2a, d1, np.zeros(3), p)
-        summed = canonical_deriv(s, u1a, u2a + u2b, d1, np.zeros(3), p)
-        assert_allclose(summed.rate - base.rate, u2b, rtol=1e-12, atol=1e-12)
+        base = kernel_deriv(u2vec=u2a, **state)
+        summed = kernel_deriv(u2vec=u2a + u2b, **state)
+        assert_allclose(summed[9:12] - base[9:12], u2b, atol=1e-5)
 
     def test_full_model_hover(self):
-        p = MICRO_QUAD
-        w = WrenchCommand(p.hover_thrust, np.zeros(3))
-        _, acc, att_dot, om_dot = full_nonlinear_deriv(
-            RigidState(), np.zeros(3), w, np.zeros(3), np.zeros(3), p)
-        assert_allclose(acc, np.zeros(3), atol=1e-15)
-        assert_allclose(att_dot, np.zeros(3), atol=0)
-        assert_allclose(om_dot, np.zeros(3), atol=0)
+        d = kernel_deriv(accel=MICRO_QUAD.g, plant="full")
+        assert_allclose(d, np.zeros(12), atol=0)
 
     def test_full_model_free_fall(self):
-        p = MICRO_QUAD
-        w = WrenchCommand(0.0, np.zeros(3))
-        _, acc, _, _ = full_nonlinear_deriv(
-            RigidState(att=np.array([0.4, -0.3, 1.0])), np.zeros(3), w,
-            np.zeros(3), np.zeros(3), p)
-        assert_allclose(acc, [0.0, 0.0, -p.g], atol=1e-15)
+        d = kernel_deriv(att=(0.4, -0.3, 1.0), plant="full")
+        assert_allclose(d[3:6], [0.0, 0.0, -MICRO_QUAD.g], rtol=1e-12, atol=1e-15)
 
     def test_full_matches_canonical_at_small_angles(self):
         # with body rates standing in for Euler rates the two accelerations agree
@@ -198,28 +203,19 @@ class TestDynamics:
         for _ in range(50):
             att = rng.uniform(-0.05, 0.05, 3)
             rate = rng.uniform(-0.3, 0.3, 3)
-            thrust = rng.uniform(0.2, 0.35)
-            torque = rng.uniform(-1e-4, 1e-4, 3)
-            s = RigidState(att=att, rate=rate)
-            u1vec = thrust_direction(att) * thrust / p.m
-            u2vec = torque / p.j
-            dc = canonical_deriv(s, u1vec, u2vec, np.zeros(3), np.zeros(3), p)
-            _, acc, att_dot, om_dot = full_nonlinear_deriv(
-                s, rate, WrenchCommand(thrust, torque), np.zeros(3), np.zeros(3), p)
-            assert_allclose(acc, dc.vel, rtol=1e-2, atol=1e-12)
-            assert_allclose(om_dot, dc.rate, rtol=1e-2, atol=1e-12)
-            assert_allclose(att_dot, rate, atol=0.05 * np.linalg.norm(rate) + 1e-12)
-
-    def test_state_vector_round_trip(self):
-        rng = np.random.default_rng(2)
-        y = rng.normal(size=12)
-        assert_allclose(RigidState.from_vector(y).as_vector(), y, rtol=0, atol=0)
+            accel = rng.uniform(0.2, 0.35) / p.m
+            u2vec = rng.uniform(-1e-4, 1e-4, 3) / np.array([p.jx, p.jy, p.jz])
+            dc = kernel_deriv(att=att, rate=rate, accel=accel, u2vec=u2vec)
+            df = kernel_deriv(att=att, rate=rate, accel=accel, u2vec=u2vec, plant="full")
+            assert_allclose(df[3:6], dc[3:6], rtol=1e-2, atol=1e-5)
+            assert_allclose(df[9:12], dc[9:12], rtol=1e-2, atol=1e-5)
+            assert_allclose(df[6:9], rate, atol=0.05 * np.linalg.norm(rate) + 1e-6)
 
 
 def test_vehicle_params_defaults():
     p = VehicleParams()
     assert p.m == 0.028 and p.arm == 0.092
-    assert_allclose(p.j, [1.4e-5, 1.4e-5, 2.17e-5], rtol=0)
+    assert (p.jx, p.jy, p.jz) == (1.4e-5, 1.4e-5, 2.17e-5)
     assert_allclose(p.hover_thrust, 0.27468, rtol=1e-12)
 
 

@@ -9,14 +9,18 @@ import numpy as np
 import pytest
 
 from hgdosim.config import load_scenario
+from hgdosim.control import DEFAULT_GAINS
 from hgdosim.disturbances import (
     CompositeSinusoid,
     Constant,
     DrydenFilter,
     DrydenGust,
     GroundEffect,
+    Signal,
+    WhiteNoise,
 )
 from hgdosim.integrate import rk4_step
+from hgdosim.observers import hgdo_init
 from hgdosim.quad import MICRO_QUAD, VehicleParams
 from hgdosim.sim import (
     FLAG_ROTOR_SAT,
@@ -26,7 +30,10 @@ from hgdosim.sim import (
     ScenarioConfig,
     SimTrace,
     build_stepper,
-    lyapunov_value,
+    build_tick,
+    differentiators,
+    noise_table,
+    pregrid,
     run_scenario,
 )
 from hgdosim.trajectories import HoverRamp, Lemniscate
@@ -270,12 +277,12 @@ class TestLyapunov:
 
     def test_column_matches_recomputation(self):
         tr = self.step_trace()
-        v = lyapunov_value(tr.cols("s1x", "s1y", "s1z"),
-                           tr.cols("s2x", "s2y", "s2z"),
-                           tr.cols("d1x_true", "d1y_true", "d1z_true")
-                           - tr.cols("d1x_hat", "d1y_hat", "d1z_hat"),
-                           tr.cols("d2x_true", "d2y_true", "d2z_true")
-                           - tr.cols("d2x_hat", "d2y_hat", "d2z_hat"))
+        s1 = tr.cols("s1x", "s1y", "s1z")
+        s2 = tr.cols("s2x", "s2y", "s2z")
+        d1 = tr.cols("d1x_true", "d1y_true", "d1z_true") - tr.cols("d1x_hat", "d1y_hat", "d1z_hat")
+        d2 = tr.cols("d2x_true", "d2y_true", "d2z_true") - tr.cols("d2x_hat", "d2y_hat", "d2z_hat")
+        v = 0.5 * ((s1 * s1).sum(axis=1) + (s2 * s2).sum(axis=1)
+                   + (d1 * d1).sum(axis=1) + (d2 * d2).sum(axis=1))
         assert np.allclose(tr.col("lyapunov"), v, rtol=1e-12, atol=1e-15)
 
     def test_bounded_by_early_peak(self):
@@ -290,8 +297,10 @@ class TestLyapunov:
         assert v[-1] <= 1e-8 * v.max()
 
     def test_quadratic_scaling(self):
-        one = lyapunov_value(np.ones(3), np.zeros(3), np.zeros(3), np.zeros(3))
-        two = lyapunov_value(2.0 * np.ones(3), np.zeros(3), np.zeros(3), np.zeros(3))
+        # at rest on the setpoint, row 0's only nonzero term is the initial
+        # torque-estimate error: V = |d2_hat0|^2 / 2
+        one, two = (run_scenario(hold_cfg(duration=0.01, d_hat0_torque=np.full(3, c)))
+                    .col("lyapunov")[0] for c in (1.0, 2.0))
         assert one == pytest.approx(1.5)
         assert two == pytest.approx(4.0 * one)
 
@@ -402,6 +411,87 @@ class TestStepperOracle:
             np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
             if observer != "hgdo":   # nothing reads gamma, so it is not integrated
                 assert got[12:] == tuple(y[12:].tolist())
+
+
+class TestSetup:
+    """The once-per-run set-up: the disturbance pre-grid and the noise table."""
+
+    def test_pregrid_equal_signals_share_the_first_column(self):
+        calls = []
+
+        class Counted(Signal):
+            def __eq__(self, other):
+                return isinstance(other, Counted)
+
+            def value(self, t, pos=None):
+                calls.append(t)
+                return np.sin(3.0 * t)
+
+        cfg = ScenarioConfig(force_signals=(Counted(), Constant(0.5), None),
+                             torque_signals=(None, Constant(0.5), Counted()))
+        grid, slow = pregrid(cfg, 2, 10)
+        assert slow == [None] * 6
+        assert grid.shape == (2 * 2 * 10 + 1, 6)
+        assert len(calls) == 1
+        t = np.arange(41) * (0.5 * (0.002 / 2))
+        assert grid[:, 0].tobytes() == np.sin(3.0 * t).tobytes()
+        assert grid[:, 5].tobytes() == grid[:, 0].tobytes()
+        assert (grid[:, 1] == 0.5).all() and (grid[:, 4] == 0.5).all()
+        assert not grid[:, 2:4].any()
+
+    def test_pregrid_position_dependent_signal_sends_all_to_slow(self):
+        const, ground, comp = Constant(0.5), GroundEffect(), CompositeSinusoid()
+        cfg = ScenarioConfig(force_signals=(const, None, ground),
+                             torque_signals=(comp, WhiteNoise(0.1), None))
+        grid, slow = pregrid(cfg, 3, 10)
+        assert grid is None
+        assert slow == [const.value, None, ground.value, comp.value, None, None]
+
+    def test_pregrid_without_deterministic_signal_has_no_grid(self):
+        assert pregrid(ScenarioConfig(), 4, 10) == (None, [None] * 6)
+        stoch = ScenarioConfig(force_signals=(WhiteNoise(0.1), None, None))
+        assert pregrid(stoch, 4, 10) == (None, [None] * 6)
+
+    def test_noise_table(self):
+        assert noise_table(ScenarioConfig(), 20) is None
+        table = noise_table(ScenarioConfig(noise_power=0.01, seed=5), 20)
+        assert table.shape == (21, 6)
+        for ch in range(6):
+            rng = np.random.default_rng(np.random.SeedSequence([5, 97, ch]))
+            assert table[:, ch].tobytes() == rng.normal(0.0, 0.1, 21).tobytes()
+
+
+class TestTick:
+    """One call of the per-step tick on a hand-built state gives the row the
+    run records."""
+
+    @pytest.mark.parametrize("observer", ["hgdo", "naive", "none"])
+    @pytest.mark.parametrize("signal", [Constant(0.2), GroundEffect()])
+    def test_tick_reproduces_trace_rows(self, observer, signal):
+        cfg = lemniscate_cfg(observer=observer, duration=0.02, outer_divisor=2,
+                             noise_power=1e-3, seed=4, force_signals=(signal, None, None))
+        tr = run_scenario(cfg)
+        n_sub, n_base = cfg.n_substeps(), 10
+        grid, slow = pregrid(cfg, n_sub, n_base)
+        rows = grid.tolist() if grid is not None else None
+        noise = noise_table(cfg, n_base)
+        data = np.zeros((2, len(TRACE_COLUMNS)))
+        tick, state = build_tick(cfg, MICRO_QUAD, DEFAULT_GAINS, data, slow,
+                                 differentiators(cfg))
+        # row 0, with the outer loop, from the state the run starts in
+        y = (tuple(float(v) for v in (*cfg.pos0, *cfg.vel0, *cfg.att0, *cfg.rate0))
+             + hgdo_init(cfg.vel0, cfg.epsilon1, cfg.d_hat0_force)
+             + hgdo_init(cfg.rate0, cfg.epsilon2, cfg.d_hat0_torque))
+        H = [0.0] * 4 + noise[0].tolist() + [0.0] * 6
+        state = tick(0, 0.0, y, H, rows, 0, 0, state)
+        assert data[0].tobytes() == tr.data[0].tobytes()
+        assert H[0] == tr.col("thrust")[0] / MICRO_QUAD.m
+        # row 1, without it; the trace does not hold the hgdo gamma states
+        if observer != "hgdo":
+            y = tuple(tr.data[1, 1:13].tolist()) + (0.0,) * 6
+            H[4:10] = noise[1].tolist()
+            tick(1, 1 * cfg.dt, y, H, rows, 2 * n_sub, 0, state)
+            assert data[1].tobytes() == tr.data[1].tobytes()
 
 
 class TestDrydenFollowsRunDt:

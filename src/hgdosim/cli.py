@@ -20,7 +20,6 @@ from .disturbances import NonDifferentiable
 from .emit import PLOT_KINDS, EmitError, emit_csv, emit_json, emit_svg, read_csv
 from .metrics import (
     EmptyTrace,
-    RealizationMismatch,
     StochasticDisturbance,
     TRACK_CHANNELS,
     bound_check,
@@ -130,11 +129,7 @@ def cmd_sweep(args) -> int:
         raise ConfigError(f"--eps must be a comma list of numbers, got {args.eps!r}")
     if not epsilons or not all(0.0 < e < math.inf for e in epsilons):
         raise ConfigError(f"--eps needs finite positive values, got {args.eps!r}")
-    try:
-        report = sweep(cfg, epsilons, include_smc_only=args.smc_only, skip=args.skip)
-    except RealizationMismatch as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return _EXIT_CONFIG
+    report = sweep(cfg, epsilons, include_smc_only=args.smc_only, skip=args.skip)
     out = _outdir(args)
     emit_json(report, out / "sweep.json")
     labels = [v["label"] for v in report["variants"]]

@@ -303,7 +303,7 @@ def _build_trajectory(doc: dict):
                      yaw_angle=float(doc.get("yaw", 0.0)))
 
 
-def _build_signal(entry: dict, dt: float, axis: int):
+def _build_signal(entry: dict, axis: int):
     kind = entry["kind"]
     if kind == "constant":
         sig = Constant(float(entry["value"]))
@@ -312,21 +312,19 @@ def _build_signal(entry: dict, dt: float, axis: int):
         if "scale" in entry:
             sig = Scaled(sig, float(entry["scale"]))
     elif kind == "white_noise":
-        sig = WhiteNoise(float(entry["power"]))
+        sig = WhiteNoise(float(entry["power"]), entry.get("seed"))
     elif kind == "dryden":
         sig = DrydenGust(entry.get("wind_axis", _WIND_AXIS[axis]),
                          wind_speed=float(entry.get("wind_speed", 1.11)),
                          altitude=float(entry.get("altitude", 0.5)),
                          airspeed=float(entry.get("airspeed", 2.0)),
                          accel_gain=float(entry.get("accel_gain", 0.5)),
-                         dt=dt)
+                         seed=entry.get("seed"))
     elif kind == "ground_effect":
         sig = GroundEffect(strength=float(entry.get("strength", 0.3)),
                            z_ref=float(entry.get("z_ref", 0.3)))
     else:  # unreachable behind the schema
         raise ConfigError(f"unknown disturbance kind {kind!r}")
-    if "seed" in entry and sig.stochastic:
-        sig.seed = int(entry["seed"])
     return sig
 
 
@@ -385,7 +383,7 @@ def build_scenario(doc: dict) -> ScenarioConfig:
     slots.update({("torque", i): [] for i in range(3)})
     for entry in doc.get("disturbances", []):
         axis = _AXIS[entry["axis"]]
-        slots[(entry["domain"], axis)].append(_build_signal(entry, dt, axis))
+        slots[(entry["domain"], axis)].append(_build_signal(entry, axis))
 
     force = tuple(_combine(slots[("force", i)], f"force/{a}")
                   for i, a in enumerate("xyz"))

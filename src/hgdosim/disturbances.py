@@ -3,11 +3,12 @@
 Deterministic test signals (constant, composite sinusoid), stochastic ones
 (band-limited white noise, Dryden gusts), a position-dependent
 ground-effect proxy, and the derivative L1 integral used by the
-estimation-bound check. Deterministic signals evaluate on scalars or arrays;
-stochastic signals advance an internal state once per simulation step and the
-sample is held until the next call. The pure-time deterministic signals (zero,
-constant, composite, and their scaled and summed forms) are immutable values
-with an analytic derivative.
+estimation-bound check. Deterministic signals evaluate on scalars or arrays.
+Stochastic signals hold no run state: draw(n, dt, rng) returns a run's n
+samples, one per simulation step, each held over its step. Every signal but
+the ground effect is an immutable value; the pure-time deterministic ones
+(zero, constant, composite, and their scaled and summed forms) have an
+analytic derivative.
 """
 
 from __future__ import annotations
@@ -36,10 +37,6 @@ class Signal:
     def derivative(self, t):
         """d/dt of a pure-time signal, on scalars or arrays."""
         raise NonDifferentiable(f"{type(self).__name__} defines no derivative")
-
-    def discretize(self, dt):
-        """Adapt to the step a run advances a stochastic signal by (no-op
-        unless the signal was discretized for a fixed step)."""
 
 
 def _exact(v):
@@ -169,14 +166,8 @@ class Scaled(_Spec):
     def derivative(self, t):
         return self.gain * self.inner.derivative(t)
 
-    def bind(self, rng):
-        self.inner.bind(rng)
-
-    def discretize(self, dt):
-        self.inner.discretize(dt)
-
-    def advance(self, t, dt, pos=None):
-        return self.gain * self.inner.advance(t, dt, pos)
+    def draw(self, n, dt, rng):
+        return self.gain * self.inner.draw(n, dt, rng)
 
 
 class Sum(_Spec):
@@ -210,22 +201,28 @@ def white_noise(power: float, dt: float, rng, size=None):
     return rng.normal(0.0, math.sqrt(power / dt), size)
 
 
-class WhiteNoise(Signal):
-    """Band-limited white noise held over each simulation step."""
+class _Stochastic(_Spec):
+    """A stochastic signal's spec. seed picks its random stream (None: the
+    stream of the channel it drives). It compares by identity, since its
+    draws depend on that channel as well as on its fields."""
 
     stochastic = True
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
 
-    def __init__(self, power: float):
+
+class WhiteNoise(_Stochastic):
+    """Band-limited white noise held over each simulation step."""
+
+    _fields = ("power", "seed")
+
+    def __init__(self, power: float, seed: int | None = None):
         if power < 0.0:
             raise ValueError("noise power must be non-negative")
-        self.power = float(power)
-        self._rng = None
+        super().__init__(float(power), seed)
 
-    def bind(self, rng):
-        self._rng = rng
-
-    def advance(self, t, dt, pos=None):
-        return float(white_noise(self.power, dt, self._rng))
+    def draw(self, n, dt, rng):
+        return white_noise(self.power, dt, rng, n)
 
 
 def _mil_low_altitude(altitude_m: float, wind_speed: float):
@@ -267,8 +264,6 @@ class DrydenFilter:
         idx = "uvw".index(axis)
         length, sigma = lengths[idx], sigmas[idx]
         a = airspeed / length
-        self.axis = axis
-        self.dt = dt
         self.drive_var = 1.0 / dt
         if axis == "u":
             ad = math.exp(-a * dt)
@@ -286,35 +281,27 @@ class DrydenFilter:
             ])
             scale = sigma * math.sqrt(3.0 * airspeed / (math.pi * length))
             self.c = scale * np.array([a / math.sqrt(3.0), 1.0])
-        self._unpack()
-        self.reset()
 
-    def _unpack(self):
-        self._order = self.ad.shape[0]
-        if self._order == 1:
-            self._a00 = float(self.ad[0, 0])
-            self._b0 = float(self.bd[0])
-            self._c0 = float(self.c[0])
+    def run(self, z) -> np.ndarray:
+        """The gust velocities of the filter started at rest and driven by
+        z, an array of standard normals, one per step."""
+        w = (math.sqrt(self.drive_var) * z).tolist()
+        out = []
+        if self.ad.shape[0] == 1:
+            a00, b0, c0 = float(self.ad[0, 0]), float(self.bd[0]), float(self.c[0])
+            x0 = 0.0
+            for wk in w:
+                x0 = a00 * x0 + b0 * wk
+                out.append(c0 * x0)
         else:
-            (self._a00, self._a01), (self._a10, self._a11) = self.ad.tolist()
-            self._b0, self._b1 = self.bd.tolist()
-            self._c0, self._c1 = self.c.tolist()
-        self._sigma_w = math.sqrt(self.drive_var)
-
-    def reset(self):
-        self._x0 = 0.0
-        self._x1 = 0.0
-
-    def step(self, rng) -> float:
-        """Advance one step and return the gust velocity."""
-        w = self._sigma_w * rng.standard_normal()
-        if self._order == 1:
-            self._x0 = self._a00 * self._x0 + self._b0 * w
-            return self._c0 * self._x0
-        x0 = self._a00 * self._x0 + self._a01 * self._x1 + self._b0 * w
-        x1 = self._a10 * self._x0 + self._a11 * self._x1 + self._b1 * w
-        self._x0, self._x1 = x0, x1
-        return self._c0 * x0 + self._c1 * x1
+            (a00, a01), (a10, a11) = self.ad.tolist()
+            b0, b1 = self.bd.tolist()
+            c0, c1 = self.c.tolist()
+            x0 = x1 = 0.0
+            for wk in w:
+                x0, x1 = a00 * x0 + a01 * x1 + b0 * wk, a10 * x0 + a11 * x1 + b1 * wk
+                out.append(c0 * x0 + c1 * x1)
+        return np.array(out)
 
     def stationary_variance(self) -> float:
         """Output variance implied by the coefficients (discrete Lyapunov sum)."""
@@ -330,34 +317,25 @@ class DrydenFilter:
         return float(self.c @ p @ self.c)
 
 
-class DrydenGust(Signal):
+class DrydenGust(_Stochastic):
     """Dryden gust velocity mapped to an acceleration disturbance.
 
     accel_gain is the drag-over-mass coupling [1/s] from gust velocity to
-    acceleration; zero wind speed gives an identically zero signal. The
-    filter is discretized at dt, and again by discretize(dt) at a run's
-    own step.
+    acceleration; zero wind speed gives an identically zero signal. draw
+    discretizes the filter at the run's own step.
     """
 
-    stochastic = True
+    _fields = ("axis", "wind_speed", "altitude", "airspeed", "accel_gain", "seed")
 
     def __init__(self, axis: str, wind_speed: float = 1.11, altitude: float = 0.5,
-                 airspeed: float = 2.0, accel_gain: float = 0.5, dt: float = 0.002):
-        self._spec = (axis, wind_speed, altitude, airspeed)
-        self.filter = DrydenFilter(axis, wind_speed, altitude, airspeed, dt)
-        self.accel_gain = float(accel_gain)
-        self._rng = None
+                 airspeed: float = 2.0, accel_gain: float = 0.5, seed: int | None = None):
+        DrydenFilter(axis, wind_speed, altitude, airspeed, 1.0)   # rejects bad parameters
+        super().__init__(axis, float(wind_speed), float(altitude), float(airspeed),
+                         float(accel_gain), seed)
 
-    def bind(self, rng):
-        self._rng = rng
-        self.filter.reset()
-
-    def discretize(self, dt):
-        if dt != self.filter.dt:
-            self.filter = DrydenFilter(*self._spec, dt)
-
-    def advance(self, t, dt, pos=None):
-        return self.accel_gain * self.filter.step(self._rng)
+    def draw(self, n, dt, rng):
+        filt = DrydenFilter(self.axis, self.wind_speed, self.altitude, self.airspeed, dt)
+        return self.accel_gain * filt.run(rng.standard_normal(n))
 
 
 class GroundEffect(Signal):

@@ -39,10 +39,6 @@ class StochasticDisturbance(ValueError):
     """The estimation bound needs deterministic disturbances and no noise."""
 
 
-class RealizationMismatch(RuntimeError):
-    """Sweep variants that should share a disturbance realization did not."""
-
-
 class BoundResult(NamedTuple):
     channel: str
     lhs: float
@@ -252,55 +248,40 @@ def _variant_cfg(base: ScenarioConfig, label: str, observer: str,
     return dataclasses.replace(base, **fields)
 
 
-def _sweep_variant(cfg: ScenarioConfig, shared: Sequence[str],
-                   d_ref: np.ndarray | None, skip: float) -> tuple[dict, np.ndarray]:
-    """Run one sweep variant and return its row and its shared true-d columns.
+def _sweep_variant(cfg: ScenarioConfig, skip: float) -> dict:
+    """Run one sweep variant and return its row.
 
     The trace lives only inside this call, so it is freed before the next
     variant runs.
     """
     trace = run_scenario(cfg)
-    d_true = trace.cols(*shared)
-    if d_ref is not None and not np.array_equal(d_ref, d_true):
-        raise RealizationMismatch(
-            "sweep variants saw different disturbance realizations; "
-            "check for stochastic signals that depend on the vehicle position")
-    row = {
+    return {
         "rms_tracking": rms_errors(trace, skip),
         "rms_estimation": rms_estimation(trace, skip),
         "wall_time": trace.meta.get("wall_time"),
     }
-    return row, d_true
 
 
 def sweep(base: ScenarioConfig, epsilons: Sequence[float],
           include_smc_only: bool = True, skip: float = 0.0) -> dict:
     """Run the observer-gain sweep plus an optional no-observer baseline.
 
-    All variants share the scenario seed, hence the same disturbance
-    realization; that is asserted on the recorded true-d series of every
-    channel except those driven by a deterministic position-dependent signal
-    (ground effect), which differ by design because each variant flies its
-    own path. A mismatch on any other channel raises RealizationMismatch.
+    All variants share the scenario seed, and each run draws its stochastic
+    disturbances before its first step, from the seed and the run's dt
+    alone, so every variant sees the same realization. Only a
+    position-dependent signal (ground effect) differs between variants, by
+    design, because each flies its own path.
 
     The variants run one after another and a sweep holds one trace at a
-    time: each is dropped once its row is taken. The realization reference
-    is a copy of the shared `d*_true` columns, not a view into a trace.
+    time: each is dropped once its row is taken.
     """
     variants = [(f"eps={e:g}", base.observer if base.observer != "none" else "hgdo", e)
                 for e in epsilons]
     if include_smc_only:
         variants.append(("smc-only", "none", None))
-    shared = [f"{ch}_true" for ch, sig in zip(EST_CHANNELS,
-                                              base.force_signals + base.torque_signals)
-              if sig.stochastic or not sig.needs_position]
-
-    rows = []
-    d_ref = None
-    for label, observer, eps in variants:
-        row, d_ref = _sweep_variant(_variant_cfg(base, label, observer, eps),
-                                    shared, d_ref, skip)
-        rows.append({"label": label, "observer": observer, "epsilon": eps, **row})
+    rows = [{"label": label, "observer": observer, "epsilon": eps,
+             **_sweep_variant(_variant_cfg(base, label, observer, eps), skip)}
+            for label, observer, eps in variants]
 
     table = {
         ch: {row["label"]: row["rms_tracking"][ch] for row in rows}

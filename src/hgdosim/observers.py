@@ -89,10 +89,6 @@ class DerivativeFilter:
         self._est = (0.0, 0.0, 0.0)
         self._dt = self._tau = None   # the (dt, tau) the cached weights belong to
 
-    def reset(self):
-        self._prev = None
-        self._est = (0.0, 0.0, 0.0)
-
     def step(self, x, dt: float) -> tuple:
         if dt != self._dt or self.tau != self._tau:
             self._dt = dt

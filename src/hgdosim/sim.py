@@ -8,14 +8,15 @@ keep the observer's fast mode resolved (sub-step <= epsilon/20), so the
 estimation-error dynamics stay at integrator accuracy rather than hold
 accuracy.
 
-Deterministic disturbances are evaluated at the RK4 stage times; stochastic
-ones draw once per base step and hold, as does measurement noise. The
+Deterministic disturbances are evaluated at the RK4 stage times. Stochastic
+ones, like measurement noise, are drawn for the whole run before the first
+step (held_table), one sample per base step held over it. The
 observer is forced by the thrust and torques actually applied to the plant
 (after clamping and, when enabled, rotor allocation), evaluated with the
 same stage attitude the plant sees, so the estimate converges to the
 injected disturbance and not to an allocation residual.
 
-run_scenario sets a run up once (pregrid, noise_table, differentiators),
+run_scenario sets a run up once (pregrid, held_table, differentiators),
 then moves each base step with one call of the tick (build_tick: observer,
 controller, allocation, trace row) and one of the kernel (build_stepper:
 the RK4 substeps of plant and observer).
@@ -57,12 +58,9 @@ _DIVERGE_RATE = 500.0
 
 OBSERVERS = ("hgdo", "naive", "none")
 
-# base steps whose disturbance-grid and noise rows the step loop converts to
-# Python floats at a time; the float64 arrays stay whole for the run
+# base steps whose disturbance-grid and held-table rows the step loop
+# converts to Python floats at a time; the float64 arrays stay whole for the run
 _BLOCK = 256
-# the held noise of a noise-free run; it is still added to the measured
-# states, since -0.0 + 0.0 is +0.0 and the trace records the sign
-_NO_NOISE = (0.0,) * 6
 
 
 class Diverged(RuntimeError):
@@ -177,19 +175,6 @@ class SimTrace:
         return self.col("t")
 
 
-def _bind_stochastic(signals, seed: int, domain: int, dt: float):
-    """Discretize each stochastic signal at the run's step and give it its
-    own random stream."""
-    for axis, sig in enumerate(signals):
-        if sig.stochastic:
-            stream_seed = getattr(sig, "seed", None)
-            if stream_seed is None:
-                stream_seed = axis
-            sig.discretize(dt)
-            sig.bind(np.random.default_rng(
-                np.random.SeedSequence([seed, int(stream_seed), axis, domain])))
-
-
 def pregrid(cfg: ScenarioConfig, n_sub: int, n_base: int):
     """The run's deterministic disturbances as (grid, slow).
 
@@ -217,18 +202,37 @@ def pregrid(cfg: ScenarioConfig, n_sub: int, n_base: int):
     return grid, slow
 
 
-def noise_table(cfg: ScenarioConfig, n_base: int):
-    """The held (vx, vy, vz, p, q, r) measurement noise of each recorded
-    step, or None when noise_power is 0. noise_power is the sample variance,
-    not a spectral density; channel ch is seeded by [seed, 97, ch]."""
-    if not cfg.noise_power > 0.0:
+def held_table(cfg: ScenarioConfig, n_base: int):
+    """What H[4:16] holds over each recorded step, as an (n_base + 1, 12)
+    array, or None when the run has no noise and no stochastic signal.
+
+    Columns 0-5 are the (vx, vy, vz, p, q, r) measurement noise: noise_power
+    is the sample variance, not a spectral density, and channel ch is seeded
+    by [seed, 97, ch]. Columns 6-11 are the stochastic force and torque
+    signals' draws at the run's dt; the signal on axis a of domain d (0
+    force, 1 torque) is seeded by [seed, its seed or a, a, d]. Other columns
+    are +0.0, which is still added to the measured states and the held
+    disturbances: -0.0 + 0.0 is +0.0, and the trace records the sign.
+    """
+    signals = cfg.force_signals + cfg.torque_signals
+    if not (cfg.noise_power > 0.0 or any(s.stochastic for s in signals)):
         return None
-    sigma = math.sqrt(cfg.noise_power)
-    noise = np.empty((n_base + 1, 6))
-    for ch in range(6):
-        rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 97, ch]))
-        noise[:, ch] = rng.normal(0.0, sigma, n_base + 1)
-    return noise
+    n = n_base + 1
+    table = np.zeros((n, 12))
+    if cfg.noise_power > 0.0:
+        sigma = math.sqrt(cfg.noise_power)
+        for ch in range(6):
+            rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 97, ch]))
+            table[:, ch] = rng.normal(0.0, sigma, n)
+    for j, sig in enumerate(signals):
+        if sig.stochastic:
+            axis, domain = j % 3, j // 3
+            stream = getattr(sig, "seed", None)
+            stream = axis if stream is None else int(stream)
+            rng = np.random.default_rng(
+                np.random.SeedSequence([cfg.seed, stream, axis, domain]))
+            table[:, 6 + j] = sig.draw(n, cfg.dt, rng)
+    return table
 
 
 def differentiators(cfg: ScenarioConfig):
@@ -689,10 +693,10 @@ def run_scenario(cfg: ScenarioConfig, params: VehicleParams | None = None,
     the traces depend on every bit of it.
 
     Besides the trace, a run holds its pre-evaluated disturbance grid and
-    its measurement noise (none when noise_power is 0) as float64 arrays,
-    and as Python floats only the rows of the block of _BLOCK (256) base
-    steps it is stepping through; adjacent grid blocks share their boundary
-    row.
+    its held table (measurement noise and stochastic draws) as float64
+    arrays, and as Python floats only the rows of the block of _BLOCK (256)
+    base steps it is stepping through; adjacent grid blocks share their
+    boundary row. The config is only read.
     """
     p = params or cfg.vehicle or MICRO_QUAD
     gn = gains or cfg.gains or DEFAULT_GAINS
@@ -703,12 +707,7 @@ def run_scenario(cfg: ScenarioConfig, params: VehicleParams | None = None,
     n_sub = cfg.n_substeps()
     outer_div = cfg.outer_divisor
 
-    _bind_stochastic(cfg.force_signals, cfg.seed, 0, dt)
-    _bind_stochastic(cfg.torque_signals, cfg.seed, 1, dt)
-    stoch_f = [s if s.stochastic else None for s in cfg.force_signals]
-    stoch_t = [s if s.stochastic else None for s in cfg.torque_signals]
-    have_stoch = any(s is not None for s in stoch_f + stoch_t)
-    noise = noise_table(cfg, n_base)
+    held = held_table(cfg, n_base)
     grid, slow = pregrid(cfg, n_sub, n_base)
     advance = build_stepper(cfg, p, n_sub, dt / n_sub, slow)
     data = np.empty((n_base + 1, len(TRACE_COLUMNS)))
@@ -747,27 +746,20 @@ def run_scenario(cfg: ScenarioConfig, params: VehicleParams | None = None,
 
     carry = 0
     twon = 2 * n_sub
-    nk = _NO_NOISE
     k_next = 0    # first base step of the next block
     for k in range(n_base + 1):
         t = k * dt
         if k == k_next:
-            rows = noise_rows = None    # free one block before converting the next
+            rows = held_rows = None    # free one block before converting the next
             k0 = k
             k_next = k + _BLOCK
             if grid is not None:
                 rows = grid[k * twon:k_next * twon + 1].tolist()
-            if noise is not None:
-                noise_rows = noise[k:k_next].tolist()
+            if held is not None:
+                held_rows = held[k:k_next].tolist()
         ib = (k - k0) * twon
-        if noise is not None:
-            nk = noise_rows[k - k0]
-        if have_stoch:
-            pos_now = (y[0], y[1], y[2])
-            for ax in range(3):
-                H[10 + ax] = stoch_f[ax].advance(t, dt, pos_now) if stoch_f[ax] is not None else 0.0
-                H[13 + ax] = stoch_t[ax].advance(t, dt, pos_now) if stoch_t[ax] is not None else 0.0
-        H[4:10] = nk
+        if held is not None:
+            H[4:16] = held_rows[k - k0]
         state = tick(k, t, y, H, rows, ib, carry, state)
         if k == n_base:
             break

@@ -9,7 +9,9 @@ import pytest
 from hgdosim.cli import main
 from hgdosim.config import validate_metrics
 
-GROUND_EFFECT = Path(__file__).resolve().parent.parent / "scenarios" / "ground_effect.json"
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
+GROUND_EFFECT = SCENARIOS / "ground_effect.json"
+BOUND_CHECK = SCENARIOS / "bound_check.json"
 
 
 def write_cfg(tmp_path, name="s.json", **extra):
@@ -242,17 +244,20 @@ class TestPositionDependentDisturbance:
         rows = [line.split() for line in captured.out.splitlines()[1:7]]
         assert [len(r) for r in rows] == [4] * 6
 
-    def test_sweep_realization_mismatch_is_config_error(self, tmp_path, capsys,
-                                                        monkeypatch):
-        from hgdosim import metrics
-
-        def mismatch(*args, **kwargs):
-            raise metrics.RealizationMismatch("sweep variants saw different "
-                                              "disturbance realizations")
-
-        monkeypatch.setattr("hgdosim.cli.sweep", mismatch)
-        assert main(["sweep", str(GROUND_EFFECT), "--out", str(tmp_path)]) == 3
-        assert "realizations" in capsys.readouterr().err
+    def test_sweep_across_substep_counts(self, tmp_path):
+        # a deterministic scenario at 4, 14 and 7 substeps per base step: the
+        # variants' gridded disturbance times differ in the last bit at many
+        # base steps, and the sweep still reports every variant
+        doc = json.loads(BOUND_CHECK.read_text())
+        doc["duration"] = 1.0
+        cfg = tmp_path / "bound_check.json"
+        cfg.write_text(json.dumps(doc))
+        out = tmp_path / "o"
+        assert main(["sweep", str(cfg), "--eps", "0.01,0.003,0.006", "--smc-only",
+                     "--out", str(out)]) == 0
+        report = json.loads((out / "sweep.json").read_text())
+        validate_metrics(report)
+        assert len(report["variants"]) == 4
 
 
 class TestPlot:

@@ -91,10 +91,10 @@ class TestWhiteNoise:
         assert np.array_equal(a, b)
 
     def test_signal_wrapper(self):
-        sig = WhiteNoise(0.01)
-        sig.bind(np.random.default_rng(1))
-        vals = [sig.advance(0.0, 0.002) for _ in range(10)]
-        assert len(set(vals)) == 10
+        vals = WhiteNoise(0.01).draw(10, 0.002, np.random.default_rng(1))
+        assert len(set(vals.tolist())) == 10
+        want = white_noise(0.01, 0.002, np.random.default_rng(1), size=10)
+        assert vals.tobytes() == want.tobytes()
 
     def test_negative_power_rejected(self):
         with pytest.raises(ValueError):
@@ -104,16 +104,26 @@ class TestWhiteNoise:
 class TestDryden:
     def test_zero_wind_is_silent(self):
         f = DrydenFilter("w", wind_speed=0.0, altitude=0.5, airspeed=2.0, dt=0.002)
-        rng = np.random.default_rng(0)
-        assert all(f.step(rng) == 0.0 for _ in range(100))
+        assert not f.run(np.random.default_rng(0).standard_normal(100)).any()
 
     def test_seeded_determinism(self):
         out = []
         for _ in range(2):
             f = DrydenFilter("v", wind_speed=1.11, altitude=0.5, airspeed=2.0, dt=0.002)
-            rng = np.random.default_rng(99)
-            out.append([f.step(rng) for _ in range(500)])
-        assert out[0] == out[1]
+            out.append(f.run(np.random.default_rng(99).standard_normal(500)))
+        assert out[0].tobytes() == out[1].tobytes()
+
+    @pytest.mark.parametrize("axis", ["u", "v"])
+    def test_run_is_the_state_space_recurrence(self, axis):
+        # x <- ad x + bd w, y = c x, with w = z / sqrt(dt), from rest
+        f = DrydenFilter(axis, wind_speed=1.11, altitude=0.5, airspeed=2.0, dt=0.002)
+        z = np.random.default_rng(3).standard_normal(200)
+        x = np.zeros(f.ad.shape[0])
+        want = []
+        for zk in z:
+            x = f.ad @ x + f.bd * (zk * math.sqrt(f.drive_var))
+            want.append(f.c @ x)
+        assert_allclose(f.run(z), want, rtol=1e-12, atol=1e-15)
 
     @pytest.mark.parametrize("axis", ["u", "w"])
     def test_sample_variance_matches_coefficients(self, axis):
@@ -122,16 +132,7 @@ class TestDryden:
         f = DrydenFilter(axis, wind_speed=1.11, altitude=0.5, airspeed=2.0, dt=0.002)
         target = f.stationary_variance()
         assert target > 0.0
-        rng = np.random.default_rng(2024)
-        n = 1_000_000
-        acc = 0.0
-        acc2 = 0.0
-        step = f.step
-        for _ in range(n):
-            y = step(rng)
-            acc += y
-            acc2 += y * y
-        var = acc2 / n - (acc / n) ** 2
+        var = f.run(np.random.default_rng(2024).standard_normal(1_000_000)).var()
         assert abs(var - target) / target < 0.10, f"{axis}: {var} vs {target}"
 
     def test_stable_discretization(self):
@@ -140,17 +141,15 @@ class TestDryden:
             assert np.abs(np.linalg.eigvals(f.ad)).max() < 1.0
 
     def test_gust_signal_scales_by_accel_gain(self):
-        g1 = DrydenGust("u", accel_gain=0.5)
-        g2 = DrydenGust("u", accel_gain=1.0)
-        g1.bind(np.random.default_rng(5))
-        g2.bind(np.random.default_rng(5))
-        a = [g1.advance(0.0, 0.002) for _ in range(50)]
-        b = [g2.advance(0.0, 0.002) for _ in range(50)]
-        assert_allclose(np.array(a) * 2.0, b, rtol=1e-12)
+        a = DrydenGust("u", accel_gain=0.5).draw(50, 0.002, np.random.default_rng(5))
+        b = DrydenGust("u", accel_gain=1.0).draw(50, 0.002, np.random.default_rng(5))
+        assert_allclose(a * 2.0, b, rtol=1e-12)
 
     def test_bad_axis_rejected(self):
         with pytest.raises(ValueError):
             DrydenFilter("q", 1.0, 0.5, 2.0, 0.002)
+        with pytest.raises(ValueError):
+            DrydenGust("q")
 
 
 class TestPositionShaping:
@@ -229,6 +228,14 @@ class TestSpecEquality:
     def test_specs_are_frozen(self):
         with pytest.raises(AttributeError):
             Constant(1.0).level = 2.0
+
+    @pytest.mark.parametrize("sig, attr", [
+        (WhiteNoise(0.1), "power"), (WhiteNoise(0.1), "seed"),
+        (DrydenGust("u"), "accel_gain"), (DrydenGust("u"), "filter"),
+    ], ids=["noise-power", "noise-seed", "gust-gain", "gust-filter"])
+    def test_stochastic_specs_are_frozen(self, sig, attr):
+        with pytest.raises(AttributeError):
+            setattr(sig, attr, 1.0)
 
     def test_stochastic_inner_compares_by_identity(self):
         noise = WhiteNoise(0.1)

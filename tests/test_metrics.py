@@ -25,7 +25,6 @@ from hgdosim.emit import emit_csv, read_csv
 from hgdosim.metrics import (
     BoundResult,
     EmptyTrace,
-    RealizationMismatch,
     StochasticDisturbance,
     bound_check,
     compare,
@@ -40,7 +39,7 @@ from hgdosim.metrics import (
     total_variation,
 )
 from hgdosim.sim import TRACE_COLUMNS, ScenarioConfig, SimTrace, run_scenario
-from hgdosim.trajectories import HoverRamp, Lemniscate
+from hgdosim.trajectories import HoverRamp
 
 HOLD = np.array([0.0, 0.0, 0.5])
 SCENARIO_DIR = Path(__file__).resolve().parents[1] / "scenarios"
@@ -378,23 +377,23 @@ class TestSweep:
         out = sweep(base, [0.01, 0.04], include_smc_only=True)
         assert len(out["variants"]) == 3
 
-    def test_position_gated_stochastic_channel_still_raises(self):
-        # a stochastic draw that depends on where the vehicle is cannot be
-        # shared between variants that fly different paths
-        class PositionNoise(Signal):
-            stochastic = True
-            needs_position = True
+    def test_every_variant_sees_one_realization(self, monkeypatch):
+        # 1, 3 and 14 substeps and no observer: the recorded stochastic
+        # disturbance is the same bits in every variant
+        base = dataclasses.replace(
+            load_scenario(SCENARIO_DIR / "dryden_lemniscate.json"), duration=1.0)
+        d_true = []
 
-            def bind(self, rng):
-                pass
+        def recording(cfg):
+            trace = run_scenario(cfg)
+            d_true.append(trace.cols("d1x_true", "d1y_true", "d1z_true").tobytes())
+            return trace
 
-            def advance(self, t, dt, pos=None):
-                return 0.1 * pos[0]
-
-        base = hold_cfg(name="gated", duration=1.0, trajectory=Lemniscate(),
-                        force_signals=(PositionNoise(), None, None))
-        with pytest.raises(RealizationMismatch, match="realization"):
-            sweep(base, [0.01, 0.08], include_smc_only=False)
+        monkeypatch.setattr(metrics, "run_scenario", recording)
+        out = sweep(base, [0.08, 0.015, 0.003], include_smc_only=True)
+        assert [v["label"] for v in out["variants"]] == [
+            "eps=0.08", "eps=0.015", "eps=0.003", "smc-only"]
+        assert len(d_true) == 4 and len(set(d_true)) == 1
 
     def test_holds_one_trace_at_a_time(self):
         # A variant's trace is freed before the next variant runs. Past the

@@ -224,13 +224,6 @@ class TestDerivativeFilter:
         f = DerivativeFilter(tau=0.05)
         assert_allclose(f.step(np.ones(3), 0.01), np.zeros(3), atol=0)
 
-    def test_reset(self):
-        f = DerivativeFilter(tau=0.05)
-        f.step(np.array([1.0, -1.0, 0.5]), 0.01)
-        f.step(np.array([2.0, -3.0, 0.5]), 0.01)
-        f.reset()
-        assert_allclose(f.step(np.array([5.0, 4.0, -2.0]), 0.01), np.zeros(3), atol=0)
-
 
 def _naive_array_oracle(d_hat, x_dot, model_term, eps, dt):
     """The array form naive_hgdo_step replaced: the generic RK4 on 3-vectors."""

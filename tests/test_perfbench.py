@@ -28,16 +28,36 @@ def perfbench():
         sys.path.remove(str(PERFBENCH))
 
 
-@pytest.mark.parametrize("workload", ["eps_sweep", "noise_compare"])
-def test_workload_pass_matches_reference(perfbench, monkeypatch, tmp_path, workload):
-    bench, _, _ = perfbench
+def workload(bench, monkeypatch, tmp_path, name, seed):
     monkeypatch.setattr(bench, "OUT", tmp_path)
-    reference = json.loads(bench.REFERENCE.read_text())
-    wl = bench.Workload(workload, bench.DEFAULT_SEED, reference)
+    return bench.Workload(name, seed, json.loads(bench.REFERENCE.read_text()))
+
+
+@pytest.mark.parametrize("name", ["eps_sweep", "noise_compare", "simulate_suite"])
+def test_workload_pass_matches_reference(perfbench, monkeypatch, tmp_path, name):
+    # simulate_suite is the only workload that hashes CSVs and reads them back
+    wl = workload(perfbench[0], monkeypatch, tmp_path, name, perfbench[0].DEFAULT_SEED)
     wl.prepare()
     wl.run_pass()
     assert wl.attempted > 0
     assert wl.failures == []
+
+
+def test_noise_compare_at_another_seed(perfbench, monkeypatch, tmp_path):
+    # at seed 25 the hgdo run at the largest noise power diverges, and only it
+    wl = workload(perfbench[0], monkeypatch, tmp_path, "noise_compare", 25)
+    wl.prepare()
+    wl.run_pass()
+    assert wl.attempted == 9
+    assert [(f["op"], f["error"]) for f in wl.failures] == [("noise:hgdo:0.1", "Diverged")]
+
+
+def test_traced_pass(perfbench, monkeypatch, tmp_path):
+    bench = perfbench[0]
+    wl = workload(bench, monkeypatch, tmp_path, "noise_compare", bench.DEFAULT_SEED)
+    _, layers = bench.traced(wl, 0)
+    assert wl.failures == []
+    assert layers["control.ticks"]["value"] > 0
 
 
 def test_every_hooked_name_resolves_and_is_restored(perfbench):

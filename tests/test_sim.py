@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import pickle
 import tracemalloc
 from pathlib import Path
 
@@ -32,7 +33,7 @@ from hgdosim.sim import (
     build_stepper,
     build_tick,
     differentiators,
-    noise_table,
+    held_table,
     pregrid,
     run_scenario,
 )
@@ -452,13 +453,31 @@ class TestSetup:
         stoch = ScenarioConfig(force_signals=(WhiteNoise(0.1), None, None))
         assert pregrid(stoch, 4, 10) == (None, [None] * 6)
 
-    def test_noise_table(self):
-        assert noise_table(ScenarioConfig(), 20) is None
-        table = noise_table(ScenarioConfig(noise_power=0.01, seed=5), 20)
-        assert table.shape == (21, 6)
+    def test_held_table(self):
+        assert held_table(ScenarioConfig(), 20) is None
+        assert held_table(ScenarioConfig(force_signals=(Constant(0.5), None, None)), 20) is None
+        table = held_table(ScenarioConfig(noise_power=0.01, seed=5), 20)
+        assert table.shape == (21, 12)
         for ch in range(6):
             rng = np.random.default_rng(np.random.SeedSequence([5, 97, ch]))
             assert table[:, ch].tobytes() == rng.normal(0.0, 0.1, 21).tobytes()
+        assert not table[:, 6:].any()
+
+    def test_held_table_draws_each_stochastic_signal_on_its_own_stream(self):
+        gust = DrydenGust("w", accel_gain=1.5)
+        cfg = ScenarioConfig(seed=5, dt=0.001, force_signals=(None, None, Constant(0.2)),
+                             torque_signals=(None, gust, WhiteNoise(0.01, seed=9)))
+        table = held_table(cfg, 20)
+        assert table.shape == (21, 12)
+        assert not table[:, :10].any()
+        # the torque gust on axis y: stream [seed, axis, axis, domain]
+        rng = np.random.default_rng(np.random.SeedSequence([5, 1, 1, 1]))
+        want = 1.5 * DrydenFilter("w", 1.11, 0.5, 2.0, 0.001).run(rng.standard_normal(21))
+        assert table[:, 10].tobytes() == want.tobytes()
+        # the seeded noise on axis z: stream [seed, its seed, axis, domain]
+        rng = np.random.default_rng(np.random.SeedSequence([5, 9, 2, 1]))
+        want = rng.normal(0.0, math.sqrt(0.01 / 0.001), 21)
+        assert table[:, 11].tobytes() == want.tobytes()
 
 
 class TestTick:
@@ -474,7 +493,7 @@ class TestTick:
         n_sub, n_base = cfg.n_substeps(), 10
         grid, slow = pregrid(cfg, n_sub, n_base)
         rows = grid.tolist() if grid is not None else None
-        noise = noise_table(cfg, n_base)
+        held = held_table(cfg, n_base)
         data = np.zeros((2, len(TRACE_COLUMNS)))
         tick, state = build_tick(cfg, MICRO_QUAD, DEFAULT_GAINS, data, slow,
                                  differentiators(cfg))
@@ -482,50 +501,47 @@ class TestTick:
         y = (tuple(float(v) for v in (*cfg.pos0, *cfg.vel0, *cfg.att0, *cfg.rate0))
              + hgdo_init(cfg.vel0, cfg.epsilon1, cfg.d_hat0_force)
              + hgdo_init(cfg.rate0, cfg.epsilon2, cfg.d_hat0_torque))
-        H = [0.0] * 4 + noise[0].tolist() + [0.0] * 6
+        H = [0.0] * 4 + held[0].tolist()
         state = tick(0, 0.0, y, H, rows, 0, 0, state)
         assert data[0].tobytes() == tr.data[0].tobytes()
         assert H[0] == tr.col("thrust")[0] / MICRO_QUAD.m
         # row 1, without it; the trace does not hold the hgdo gamma states
         if observer != "hgdo":
             y = tuple(tr.data[1, 1:13].tolist()) + (0.0,) * 6
-            H[4:10] = noise[1].tolist()
+            H[4:16] = held[1].tolist()
             tick(1, 1 * cfg.dt, y, H, rows, 2 * n_sub, 0, state)
             assert data[1].tobytes() == tr.data[1].tobytes()
 
 
 class TestDrydenFollowsRunDt:
-    """A run discretizes its Dryden filters at its own dt, not at the dt the
-    signal was built with."""
+    """A run discretizes its Dryden filters at its own dt, not at a dt fixed
+    when the signal was built, and leaves its config as it found it."""
 
     def test_filter_rediscretized_when_dt_changes(self):
         cfg = load_scenario(SCENARIO_DIR / "dryden_lemniscate.json")
-        fine = dataclasses.replace(cfg, dt=0.001, duration=0.01)
-        run_scenario(fine)
-        for sig in cfg.force_signals:
-            ref = DrydenFilter(sig.filter.axis, 1.11, 0.5, 2.0, 0.001)
-            assert sig.filter.dt == 0.001
-            assert np.array_equal(sig.filter.ad, ref.ad)
-            assert np.array_equal(sig.filter.bd, ref.bd)
-            assert np.array_equal(sig.filter.c, ref.c)
-        run_scenario(dataclasses.replace(cfg, duration=0.01))
-        assert all(sig.filter.dt == 0.002 for sig in cfg.force_signals)
+        tr = run_scenario(dataclasses.replace(cfg, dt=0.001, duration=0.01))
+        gust = cfg.force_signals[2]          # the 'w' filter on force z's stream
+        z = np.random.default_rng(
+            np.random.SeedSequence([cfg.seed, 2, 2, 0])).standard_normal(len(tr))
+        fine, coarse = (gust.accel_gain * DrydenFilter("w", 1.11, 0.5, 2.0, dt).run(z)
+                        for dt in (0.001, 0.002))
+        assert tr.col("d1z_true").tobytes() == fine.tobytes()
+        assert not np.array_equal(fine, coarse)
 
     @pytest.mark.parametrize("dt", [0.001, 0.002])
     def test_sample_variance_matches_stationary_variance(self, dt):
         cfg = load_scenario(SCENARIO_DIR / "dryden_lemniscate.json")
-        run_scenario(dataclasses.replace(cfg, dt=dt, duration=0.01))
-        gust = cfg.force_signals[2]          # the 'w' filter, bound by the run
+        gust = cfg.force_signals[2]
         target = gust.accel_gain ** 2 * DrydenFilter("w", 1.11, 0.5, 2.0, dt).stationary_variance()
-        n = 300_000
-        acc = acc2 = 0.0
-        advance = gust.advance
-        for _ in range(n):
-            v = advance(0.0, dt)
-            acc += v
-            acc2 += v * v
-        var = acc2 / n - (acc / n) ** 2
-        assert abs(var - target) / target < 0.05, f"{var} vs {target}"
+        v = gust.draw(300_000, dt, np.random.default_rng(2024))
+        assert abs(v.var() - target) / target < 0.05, f"{v.var()} vs {target}"
+
+    @pytest.mark.parametrize("name", ["hover_step", "dryden_lemniscate"])
+    def test_run_leaves_config_unchanged(self, name):
+        cfg = load_scenario(SCENARIO_DIR / f"{name}.json")
+        before = pickle.dumps(cfg)
+        run_scenario(dataclasses.replace(cfg, dt=0.001, duration=0.05))
+        assert pickle.dumps(cfg) == before
 
 
 class TestMemory:

@@ -333,6 +333,8 @@ def _combine(slot: list, where: str):
         return None
     if len(slot) == 1:
         return slot[0]
+    if any(isinstance(s, GroundEffect) for s in slot):
+        raise ConfigError(f"a ground effect must be alone on its channel; {where} has {len(slot)}")
     if any(s.stochastic for s in slot):
         raise ConfigError(
             f"at most one stochastic signal per channel; {where} has {len(slot)}")

@@ -1,14 +1,14 @@
 """Disturbance signal library.
 
 Deterministic test signals (constant, composite sinusoid), stochastic ones
-(band-limited white noise, Dryden gusts), a position-dependent
-ground-effect proxy, and the derivative L1 integral used by the
-estimation-bound check. Deterministic signals evaluate on scalars or arrays.
-Stochastic signals hold no run state: draw(n, dt, rng) returns a run's n
-samples, one per simulation step, each held over its step. Every signal but
-the ground effect is an immutable value; the pure-time deterministic ones
-(zero, constant, composite, and their scaled and summed forms) have an
-analytic derivative.
+(band-limited white noise, Dryden gusts), a height-dependent ground-effect
+proxy, and the derivative L1 integral used by the estimation-bound check.
+Every signal is an immutable value. The pure-time deterministic ones (zero,
+constant, composite, and their scaled and summed forms) evaluate on scalars
+or arrays and have an analytic derivative. Stochastic signals hold no run
+state: draw(n, dt, rng) returns a run's n samples, one per simulation step,
+each held over its step. The ground effect is only its parameters: the
+engine evaluates it at the vehicle's height as a plant term on force z.
 """
 
 from __future__ import annotations
@@ -29,9 +29,10 @@ class Signal:
     """Base class. Subclasses are deterministic unless they say otherwise."""
 
     stochastic = False
+    # True only on GroundEffect; perfbench/hooks.py reads it on every signal
     needs_position = False
 
-    def value(self, t, pos=None):
+    def value(self, t):
         raise NotImplementedError
 
     def derivative(self, t):
@@ -78,7 +79,7 @@ def _zero(t):
 
 
 class Zero(_Spec):
-    def value(self, t, pos=None):
+    def value(self, t):
         return _zero(t)
 
     def derivative(self, t):
@@ -91,7 +92,7 @@ class Constant(_Spec):
     def __init__(self, level: float):
         super().__init__(float(level))
 
-    def value(self, t, pos=None):
+    def value(self, t):
         if isinstance(t, np.ndarray):
             return np.full_like(t, self.level, dtype=float)
         return self.level
@@ -124,7 +125,7 @@ class CompositeSinusoid(_Spec):
     edges of its bandwidth; the offset alone contributes 0.2.
     """
 
-    def value(self, t, pos=None):
+    def value(self, t):
         if isinstance(t, np.ndarray):
             acc = np.full_like(t, 4.0, dtype=float)
             for a, w, t0 in _COMPOSITE_TERMS:
@@ -144,49 +145,40 @@ class CompositeSinusoid(_Spec):
         return 0.05 * sum(a * w * math.cos(w * (t + t0)) for a, w, t0 in _COMPOSITE_TERMS)
 
 
+def _pure_time(sig: Signal) -> bool:
+    return not (sig.stochastic or isinstance(sig, GroundEffect))
+
+
 class Scaled(_Spec):
-    """Pointwise gain on another signal."""
+    """Pointwise gain on a pure-time deterministic signal."""
 
     _fields = ("inner", "gain")
 
     def __init__(self, inner: Signal, gain: float):
+        if not _pure_time(inner):
+            raise ValueError("Scaled composes pure-time deterministic signals only")
         super().__init__(inner, float(gain))
 
-    @property
-    def stochastic(self):
-        return self.inner.stochastic
-
-    @property
-    def needs_position(self):
-        return self.inner.needs_position
-
-    def value(self, t, pos=None):
-        return self.gain * self.inner.value(t, pos)
+    def value(self, t):
+        return self.gain * self.inner.value(t)
 
     def derivative(self, t):
         return self.gain * self.inner.derivative(t)
 
-    def draw(self, n, dt, rng):
-        return self.gain * self.inner.draw(n, dt, rng)
-
 
 class Sum(_Spec):
-    """Pointwise sum of deterministic signals."""
+    """Pointwise sum of pure-time deterministic signals."""
 
     _fields = ("parts",)
 
     def __init__(self, parts):
         parts = tuple(parts)
-        if any(p.stochastic for p in parts):
-            raise ValueError("Sum composes deterministic signals only")
+        if not all(_pure_time(p) for p in parts):
+            raise ValueError("Sum composes pure-time deterministic signals only")
         super().__init__(parts)
 
-    @property
-    def needs_position(self):
-        return any(p.needs_position for p in self.parts)
-
-    def value(self, t, pos=None):
-        return sum(p.value(t, pos) for p in self.parts)
+    def value(self, t):
+        return sum(p.value(t) for p in self.parts)
 
     def derivative(self, t):
         return sum(p.derivative(t) for p in self.parts)
@@ -338,36 +330,31 @@ class DrydenGust(_Stochastic):
         return self.accel_gain * filt.run(rng.standard_normal(n))
 
 
-class GroundEffect(Signal):
-    """Height-dependent upward push: strength * clamp(1 - z/z_ref, 0, 1).
+class GroundEffect(_Spec):
+    """Height-dependent upward push on force z: strength * clamp(1 - z/z_ref, 0, 1).
 
     A synthetic stand-in for near-ground thrust augmentation, full strength at
-    z = 0 and fading linearly to nothing at z_ref.
+    z = 0 and fading linearly to nothing at z_ref; the engine evaluates it at
+    every RK4 stage's height.
     """
 
     needs_position = True
+    _fields = ("strength", "z_ref")
 
     def __init__(self, strength: float = 0.3, z_ref: float = 0.3):
         if z_ref <= 0.0:
             raise ValueError("z_ref must be positive")
-        self.strength = float(strength)
-        self.z_ref = float(z_ref)
-
-    def value(self, t, pos=None):
-        if pos is None:
-            raise ValueError("ground effect needs the vehicle position")
-        frac = 1.0 - pos[2] / self.z_ref
-        return self.strength * min(max(frac, 0.0), 1.0)
+        super().__init__(float(strength), float(z_ref))
 
 
 def derivative_l1(signal: Signal, t0: float, t1: float, dt: float = 1e-4) -> float:
     """Integral of |d/dt signal| over [t0, t1]: the trapezoid rule on a grid
     of step at most dt, over the signal's analytic derivative.
 
-    Only defined for deterministic, position-free signals with a
-    `derivative`; anything else raises NonDifferentiable.
+    Only defined for pure-time deterministic signals with a `derivative`;
+    anything else raises NonDifferentiable.
     """
-    if signal.stochastic or signal.needs_position:
+    if not _pure_time(signal):
         raise NonDifferentiable(f"{type(signal).__name__} has no pathwise derivative")
     if t1 < t0:
         raise ValueError("t1 must be >= t0")

@@ -218,7 +218,7 @@ def metrics_report(trace: SimTrace, skip: float = 0.0) -> dict:
     if "counters" in trace.meta:     # a trace read back from CSV has none
         report["runtime"]["counters"] = dict(trace.meta["counters"])
     # One derivative-L1 evaluation feeds both checks; signals without a
-    # pathwise derivative (stochastic, noisy or position-dependent) get neither.
+    # pathwise derivative (stochastic, noisy or the ground effect) get neither.
     deltas = None
     if trace.config is not None:
         try:
@@ -268,9 +268,9 @@ def sweep(base: ScenarioConfig, epsilons: Sequence[float],
 
     All variants share the scenario seed, and each run draws its stochastic
     disturbances before its first step, from the seed and the run's dt
-    alone, so every variant sees the same realization. Only a
-    position-dependent signal (ground effect) differs between variants, by
-    design, because each flies its own path.
+    alone, so every variant sees the same realization. Only the ground
+    effect, a plant term on force z at the vehicle's height, differs
+    between variants, by design, because each flies its own path.
 
     The variants run one after another and a sweep holds one trace at a
     time: each is dropped once its row is taken.

@@ -8,9 +8,11 @@ keep the observer's fast mode resolved (sub-step <= epsilon/20), so the
 estimation-error dynamics stay at integrator accuracy rather than hold
 accuracy.
 
-Deterministic disturbances are evaluated at the RK4 stage times. Stochastic
-ones, like measurement noise, are drawn for the whole run before the first
-step (held_table), one sample per base step held over it. The
+Deterministic disturbances are evaluated at the RK4 stage times: the
+pure-time ones on a grid built before the first step (pregrid), the ground
+effect at each stage's height as a term of the plant. Stochastic ones, like
+measurement noise, are drawn for the whole run before the first step
+(held_table), one sample per base step held over it. The
 observer is forced by the thrust and torques actually applied to the plant
 (after clamping and, when enabled, rotor allocation), evaluated with the
 same stage attitude the plant sees, so the estimate converges to the
@@ -39,7 +41,7 @@ from .control import (
     outer_loop,
     wrap_angle,
 )
-from .disturbances import Zero
+from .disturbances import GroundEffect, Zero
 from .observers import DerivativeFilter, hgdo_init, naive_hgdo_step
 from .quad import MICRO_QUAD, VehicleParams, WrenchCommand, allocate_rotors, rotor_wrench
 from .trajectories import HoverRamp, Trajectory
@@ -122,6 +124,8 @@ class ScenarioConfig:
         self.torque_signals = tuple(s if s is not None else Zero() for s in self.torque_signals)
         if len(self.force_signals) != 3 or len(self.torque_signals) != 3:
             raise ValueError("need one signal per axis")
+        if any(isinstance(s, GroundEffect) for s in self.force_signals[:2] + self.torque_signals):
+            raise ValueError("a ground effect acts on force z only")
 
     def n_substeps(self) -> int:
         if self.substeps is not None:
@@ -176,30 +180,27 @@ class SimTrace:
 
 
 def pregrid(cfg: ScenarioConfig, n_sub: int, n_base: int):
-    """The run's deterministic disturbances as (grid, slow).
+    """The run's deterministic disturbances as (grid, ground).
 
-    Every RK4 stage lands on the half-substep grid, so pure-time signals
+    Every RK4 stage lands on the half-substep grid, so the pure-time signals
     are evaluated for the whole run in one vectorized pass: grid holds the
     six channels on 2 * n_sub * n_base + 1 rows, equal signals sharing the
-    first one's column. If any deterministic signal needs the position,
-    there is no grid and slow holds every deterministic channel's
-    Signal.value, called per stage. Other slow entries are None.
+    first one's column, or is None when there are none. ground is the
+    (strength, z_ref) of a ground effect on force z, or None.
     """
-    det_all = cfg.force_signals + cfg.torque_signals
-    det = [j for j, s in enumerate(det_all) if not (s.stochastic or isinstance(s, Zero))]
-    slow = [None] * 6
-    if any(det_all[j].needs_position for j in det):
-        for j in det:
-            slow[j] = det_all[j].value
-        return None, slow
+    signals = cfg.force_signals + cfg.torque_signals
+    fz = signals[2]
+    ground = (fz.strength, fz.z_ref) if isinstance(fz, GroundEffect) else None
+    det = [j for j, s in enumerate(signals)
+           if not (s.stochastic or isinstance(s, (Zero, GroundEffect)))]
     if not det:
-        return None, slow
+        return None, ground
     tgrid = np.arange(2 * n_sub * n_base + 1) * (0.5 * (cfg.dt / n_sub))
     grid = np.zeros((tgrid.size, 6))
     for j in det:
-        first = det_all.index(det_all[j])
-        grid[:, j] = det_all[j].value(tgrid) if first == j else grid[:, first]
-    return grid, slow
+        first = signals.index(signals[j])
+        grid[:, j] = signals[j].value(tgrid) if first == j else grid[:, first]
+    return grid, ground
 
 
 def held_table(cfg: ScenarioConfig, n_base: int):
@@ -227,8 +228,7 @@ def held_table(cfg: ScenarioConfig, n_base: int):
     for j, sig in enumerate(signals):
         if sig.stochastic:
             axis, domain = j % 3, j // 3
-            stream = getattr(sig, "seed", None)
-            stream = axis if stream is None else int(stream)
+            stream = axis if sig.seed is None else int(sig.seed)
             rng = np.random.default_rng(
                 np.random.SeedSequence([cfg.seed, stream, axis, domain]))
             table[:, 6 + j] = sig.draw(n, cfg.dt, rng)
@@ -251,18 +251,19 @@ def differentiators(cfg: ScenarioConfig):
             ref_vel, ref_acc, sp_rate, sp_acc)
 
 
-def build_stepper(cfg: ScenarioConfig, p: VehicleParams, n_sub: int, h: float, slow):
-    """Return advance(y, H, rows, ib, t): state y moved on by the base step from t.
+def build_stepper(cfg: ScenarioConfig, p: VehicleParams, n_sub: int, h: float, ground):
+    """Return advance(y, H, rows, ib): state y moved on by one base step.
 
     y is the 18-float state (pos, vel, att, rate, gamma1, gamma2). H holds
     what is held over the step: [a_thrust, tau_x/jx, tau_y/jy, tau_z/jz,
-    6x noise, 3x stoch force, 3x stoch torque]. Deterministic disturbances
-    come from rows, a block of the run's pre-evaluated grid as lists of six
-    floats on the half-substep grid (2 * n_sub rows per base step), read
-    from rows[ib] (time t) to rows[ib + 2 * n_sub] (time t + dt). With
-    rows None they come from slow instead: per channel a Signal.value called
-    at every stage with the stage position, or None. The kernel keeps no
-    reference to rows, so a run holds only the block it is stepping through.
+    6x noise, 3x stoch force, 3x stoch torque]. Pure-time deterministic
+    disturbances come from rows, a block of the run's pre-evaluated grid as
+    lists of six floats on the half-substep grid (2 * n_sub rows per base
+    step), read from rows[ib] (the step's start) to rows[ib + 2 * n_sub]
+    (its end), or are zero when rows is None. The kernel keeps no reference to
+    rows, so a run holds only the block it is stepping through. ground is
+    pregrid's (strength, z_ref) or None: force z then is the held value plus
+    strength * clamp(1 - z/z_ref, 0, 1) at each stage's own height z.
 
     One call runs all n_sub classical RK4 substeps of length h, the four
     stages written out on local floats. Every operation keeps its grouping
@@ -280,36 +281,28 @@ def build_stepper(cfg: ScenarioConfig, p: VehicleParams, n_sub: int, h: float, s
     nie2 = -ie2
     full = cfg.plant == "full"
     hgdo = cfg.observer == "hgdo"
-    live = [(i, f) for i, f in enumerate(slow) if f is not None]
-    has_slow = bool(live)
+    gs, gz = ground or (0.0, 1.0)
     h2 = 0.5 * h
     h6 = h / 6.0
     sin = math.sin
     cos = math.cos
 
-    def stage_sums(base, tt, pos):
-        out = list(base)
-        for i, f in live:
-            out[i] += f(tt, pos)
-        return out
-
-    def advance(y, H, rows, ib, t):
+    def advance(y, H, rows, ib):
         (z0, z1, z2, z3, z4, z5, z6, z7, z8, z9, z10, z11,
          z12, z13, z14, z15, z16, z17) = y
         (a, u1, u2, u3, nv0, nv1, nv2, nw0, nw1, nw2,
          hf0, hf1, hf2, ht0, ht1, ht2) = H
         # held plus deterministic disturbance per channel at a substep's
         # start (a), midpoint (b) and end (c); c carries over to the next a
+        fz0 = hf2 + 0.0
         if rows is None:
             fxa = fxb = fxc = hf0 + 0.0; fya = fyb = fyc = hf1 + 0.0
-            fza = fzb = fzc = hf2 + 0.0; txa = txb = txc = ht0 + 0.0
+            fza = fzb = fzc = fz0; txa = txb = txc = ht0 + 0.0
             tya = tyb = tyc = ht1 + 0.0; tza = tzb = tzc = ht2 + 0.0
-            base = (fxa, fya, fza, txa, tya, tza)
         else:
             d0, d1, d2, d3, d4, d5 = rows[ib]
             fxc = hf0 + d0; fyc = hf1 + d1; fzc = hf2 + d2
             txc = ht0 + d3; tyc = ht1 + d4; tzc = ht2 + d5
-        tt = t
         for _ in range(n_sub):
             if rows is not None:
                 fxa, fya, fza = fxc, fyc, fzc
@@ -322,13 +315,13 @@ def build_stepper(cfg: ScenarioConfig, p: VehicleParams, n_sub: int, h: float, s
                 txc = ht0 + d3; tyc = ht1 + d4; tzc = ht2 + d5
                 ib += 2
 
-            # stage 1 at z, time tt
+            # stage 1 at z, the substep's start
             sph = sin(z6); cph = cos(z6); sth = sin(z7)
             cth = cos(z7); sps = sin(z8); cps = cos(z8)
             cs = cph * sth; abz = a * (cph * cth)
             abx = a * (cs * cps + sph * sps); aby = a * (cs * sps - sph * cps)
-            if has_slow:
-                fxa, fya, fza, txa, tya, tza = stage_sums(base, tt, (z0, z1, z2))
+            if ground:
+                fza = fz0 + gs * min(max(1.0 - z2 / gz, 0.0), 1.0)
             ka3 = abx + fxa; ka4 = aby + fya; ka5 = abz - g + fza
             ka6, ka7, ka8 = z9, z10, z11
             if full:  # body rates through the Euler kinematics
@@ -351,14 +344,13 @@ def build_stepper(cfg: ScenarioConfig, p: VehicleParams, n_sub: int, h: float, s
                 sb12 = z12 + h2 * ka12; sb13 = z13 + h2 * ka13; sb14 = z14 + h2 * ka14
                 sb15 = z15 + h2 * ka15; sb16 = z16 + h2 * ka16; sb17 = z17 + h2 * ka17
 
-            # stage 2 at sb, time tt + h/2
+            # stage 2 at sb, its midpoint
             sph = sin(sb6); cph = cos(sb6); sth = sin(sb7)
             cth = cos(sb7); sps = sin(sb8); cps = cos(sb8)
             cs = cph * sth; abz = a * (cph * cth)
             abx = a * (cs * cps + sph * sps); aby = a * (cs * sps - sph * cps)
-            if has_slow:
-                fxb, fyb, fzb, txb, tyb, tzb = stage_sums(
-                    base, tt + h2, (z0 + h2 * z3, z1 + h2 * z4, z2 + h2 * z5))
+            if ground:
+                fzb = fz0 + gs * min(max(1.0 - (z2 + h2 * z5) / gz, 0.0), 1.0)
             kb3 = abx + fxb; kb4 = aby + fyb; kb5 = abz - g + fzb
             kb6, kb7, kb8 = sb9, sb10, sb11
             if full:
@@ -381,14 +373,13 @@ def build_stepper(cfg: ScenarioConfig, p: VehicleParams, n_sub: int, h: float, s
                 sc12 = z12 + h2 * kb12; sc13 = z13 + h2 * kb13; sc14 = z14 + h2 * kb14
                 sc15 = z15 + h2 * kb15; sc16 = z16 + h2 * kb16; sc17 = z17 + h2 * kb17
 
-            # stage 3 at sc, time tt + h/2
+            # stage 3 at sc, its midpoint
             sph = sin(sc6); cph = cos(sc6); sth = sin(sc7)
             cth = cos(sc7); sps = sin(sc8); cps = cos(sc8)
             cs = cph * sth; abz = a * (cph * cth)
             abx = a * (cs * cps + sph * sps); aby = a * (cs * sps - sph * cps)
-            if has_slow:
-                fxb, fyb, fzb, txb, tyb, tzb = stage_sums(
-                    base, tt + h2, (z0 + h2 * sb3, z1 + h2 * sb4, z2 + h2 * sb5))
+            if ground:
+                fzb = fz0 + gs * min(max(1.0 - (z2 + h2 * sb5) / gz, 0.0), 1.0)
             kc3 = abx + fxb; kc4 = aby + fyb; kc5 = abz - g + fzb
             kc6, kc7, kc8 = sc9, sc10, sc11
             if full:
@@ -411,14 +402,13 @@ def build_stepper(cfg: ScenarioConfig, p: VehicleParams, n_sub: int, h: float, s
                 sd12 = z12 + h * kc12; sd13 = z13 + h * kc13; sd14 = z14 + h * kc14
                 sd15 = z15 + h * kc15; sd16 = z16 + h * kc16; sd17 = z17 + h * kc17
 
-            # stage 4 at sd, time tt + h
+            # stage 4 at sd, its end
             sph = sin(sd6); cph = cos(sd6); sth = sin(sd7)
             cth = cos(sd7); sps = sin(sd8); cps = cos(sd8)
             cs = cph * sth; abz = a * (cph * cth)
             abx = a * (cs * cps + sph * sps); aby = a * (cs * sps - sph * cps)
-            if has_slow:
-                fxc, fyc, fzc, txc, tyc, tzc = stage_sums(
-                    base, tt + h, (z0 + h * sc3, z1 + h * sc4, z2 + h * sc5))
+            if ground:
+                fzc = fz0 + gs * min(max(1.0 - (z2 + h * sc5) / gz, 0.0), 1.0)
             kd3 = abx + fxc; kd4 = aby + fyc; kd5 = abz - g + fzc
             kd6, kd7, kd8 = sd9, sd10, sd11
             if full:
@@ -456,7 +446,6 @@ def build_stepper(cfg: ScenarioConfig, p: VehicleParams, n_sub: int, h: float, s
                 z15 += h6 * (ka15 + 2.0 * (kb15 + kc15) + kd15)
                 z16 += h6 * (ka16 + 2.0 * (kb16 + kc16) + kd16)
                 z17 += h6 * (ka17 + 2.0 * (kb17 + kc17) + kd17)
-            tt += h
         return (z0, z1, z2, z3, z4, z5, z6, z7, z8, z9, z10, z11,
                 z12, z13, z14, z15, z16, z17)
 
@@ -464,7 +453,7 @@ def build_stepper(cfg: ScenarioConfig, p: VehicleParams, n_sub: int, h: float, s
 
 
 def build_tick(cfg: ScenarioConfig, p: VehicleParams, gn: SmcGains, data: np.ndarray,
-               slow, filters):
+               ground, filters):
     """Return (tick, state0): the control work of one base step, and the
     state the first step starts from.
 
@@ -474,7 +463,8 @@ def build_tick(cfg: ScenarioConfig, p: VehicleParams, gn: SmcGains, data: np.nda
     and stochastic draws from H[4:16], writes row k of data, and puts the
     applied thrust and torques per unit mass and inertia in H[0:4] for the
     kernel. flags carry over from the step before; the d*_true columns
-    read rows[ib], or slow when rows is None. state is (d1_naive, d2_naive,
+    read rows[ib] (zeros when rows is None), force z plus the ground effect
+    of pregrid's ground at the step's height. state is (d1_naive, d2_naive,
     mt, mf, outer_flags, pos_d, vel_d, u1, sp): the naive observer's
     estimates and raw and low-passed model terms, then what the outer loop
     holds between its ticks. The six filters of differentiators() are
@@ -499,7 +489,7 @@ def build_tick(cfg: ScenarioConfig, p: VehicleParams, gn: SmcGains, data: np.nda
     lam20, lam21, lam22 = (float(v) for v in gn.lam2)
     trajectory = cfg.trajectory
     allocate = cfg.allocate
-    sfx, sfy, sfz, stx, sty, stz = slow
+    gs, gz = ground or (0.0, 1.0)
     fd_vel, fd_rate, ref_vel, ref_acc, sp_rate, sp_acc = filters
     # the model terms go through the same low-pass as the finite differences;
     # without the matched lag, fast angular-acceleration content fails to
@@ -621,22 +611,15 @@ def build_tick(cfg: ScenarioConfig, p: VehicleParams, gn: SmcGains, data: np.nda
         s2y = ed2y + lam21 * e2y
         s2z = ed2z + lam22 * e2z
 
-        if rows is not None:
-            d0, d1, d2, d3, d4, d5 = rows[ib]
-            d1tx = hf0 + d0
-            d1ty = hf1 + d1
-            d1tz = hf2 + d2
-            d2tx = ht0 + d3
-            d2ty = ht1 + d4
-            d2tz = ht2 + d5
-        else:
-            pos = (px, py, pz)
-            d1tx = hf0 + (sfx(t, pos) if sfx is not None else 0.0)
-            d1ty = hf1 + (sfy(t, pos) if sfy is not None else 0.0)
-            d1tz = hf2 + (sfz(t, pos) if sfz is not None else 0.0)
-            d2tx = ht0 + (stx(t, pos) if stx is not None else 0.0)
-            d2ty = ht1 + (sty(t, pos) if sty is not None else 0.0)
-            d2tz = ht2 + (stz(t, pos) if stz is not None else 0.0)
+        d0, d1, d2, d3, d4, d5 = rows[ib] if rows is not None else (0.0,) * 6
+        d1tx = hf0 + d0
+        d1ty = hf1 + d1
+        d1tz = hf2 + d2
+        d2tx = ht0 + d3
+        d2ty = ht1 + d4
+        d2tz = ht2 + d5
+        if ground:
+            d1tz += gs * min(max(1.0 - pz / gz, 0.0), 1.0)
         dd1x = d1tx - d1_hat[0]
         dd1y = d1ty - d1_hat[1]
         dd1z = d1tz - d1_hat[2]
@@ -708,10 +691,10 @@ def run_scenario(cfg: ScenarioConfig, params: VehicleParams | None = None,
     outer_div = cfg.outer_divisor
 
     held = held_table(cfg, n_base)
-    grid, slow = pregrid(cfg, n_sub, n_base)
-    advance = build_stepper(cfg, p, n_sub, dt / n_sub, slow)
+    grid, ground = pregrid(cfg, n_sub, n_base)
+    advance = build_stepper(cfg, p, n_sub, dt / n_sub, ground)
     data = np.empty((n_base + 1, len(TRACE_COLUMNS)))
-    tick, state = build_tick(cfg, p, gn, data, slow, differentiators(cfg))
+    tick, state = build_tick(cfg, p, gn, data, ground, differentiators(cfg))
 
     # state tuple: pos, vel, att, rate, gamma1, gamma2
     g1 = hgdo_init(cfg.vel0, cfg.epsilon1, cfg.d_hat0_force)
@@ -764,7 +747,7 @@ def run_scenario(cfg: ScenarioConfig, params: VehicleParams | None = None,
         if k == n_base:
             break
 
-        y = advance(y, H, rows, ib, t)
+        y = advance(y, H, rows, ib)
 
         total = math.fsum(y[0:12])
         if not math.isfinite(total):

@@ -215,6 +215,20 @@ class TestPositionDependentDisturbance:
         assert main(["check-bounds", str(GROUND_EFFECT)]) == 3
         assert "GroundEffect" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("extra, message", [
+        ({"kind": "ground_effect", "domain": "torque", "axis": "z"},
+         "$.disturbances[1].domain: 'force' was expected"),
+        ({"kind": "constant", "domain": "force", "axis": "z", "value": 0.1},
+         "a ground effect must be alone on its channel; force/z has 2"),
+    ], ids=["torque", "shared-channel"])
+    def test_ground_effect_only_alone_on_force_z(self, tmp_path, capsys, extra, message):
+        doc = json.loads(GROUND_EFFECT.read_text())
+        doc["disturbances"].append(extra)
+        path = tmp_path / "g.json"
+        path.write_text(json.dumps(doc))
+        assert main(["simulate", str(path), "--out", str(tmp_path / "o")]) == 3
+        assert message in capsys.readouterr().err
+
     def test_compare(self, tmp_path):
         out = tmp_path / "o"
         assert main(["compare", str(GROUND_EFFECT), str(GROUND_EFFECT),

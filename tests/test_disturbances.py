@@ -22,6 +22,8 @@ from hgdosim.disturbances import (
     derivative_l1,
     white_noise,
 )
+from hgdosim.sim import ScenarioConfig, run_scenario
+from hgdosim.trajectories import HoverRamp
 
 
 class Sine(Signal):
@@ -30,7 +32,7 @@ class Sine(Signal):
     def __init__(self, freq_hz):
         self.w = 2.0 * math.pi * freq_hz
 
-    def value(self, t, pos=None):
+    def value(self, t):
         return np.sin(self.w * t) if isinstance(t, np.ndarray) else math.sin(self.w * t)
 
     def derivative(self, t):
@@ -154,13 +156,17 @@ class TestDryden:
 
 class TestPositionShaping:
     def test_ground_effect_profile(self):
+        # the engine adds strength * clamp(1 - z/z_ref, 0, 1) to force z at
+        # the vehicle's height: row 0 of d1z_true reads it at the start
         sig = GroundEffect(strength=0.3, z_ref=0.3)
-        assert_allclose(sig.value(0.0, pos=(0, 0, 0.0)), 0.3, rtol=0)
-        assert_allclose(sig.value(0.0, pos=(0, 0, 0.15)), 0.15, rtol=1e-12)
-        assert sig.value(0.0, pos=(0, 0, 0.5)) == 0.0
-        assert sig.value(0.0, pos=(0, 0, 5.0)) == 0.0
+        for z, want in ((0.0, 0.3), (0.15, 0.15), (0.5, 0.0), (5.0, 0.0)):
+            pos = np.array([0.0, 0.0, z])
+            cfg = ScenarioConfig(duration=0.01, pos0=pos, trajectory=HoverRamp(target=pos),
+                                 force_signals=(None, None, sig))
+            assert_allclose(run_scenario(cfg).col("d1z_true")[0], want, rtol=1e-12, atol=0)
+        assert sig == GroundEffect(0.3, 0.3) and sig != GroundEffect(0.3, 0.4)
         with pytest.raises(ValueError):
-            sig.value(0.0)
+            GroundEffect(z_ref=0.0)
 
 
 class TestAlgebra:
@@ -172,8 +178,14 @@ class TestAlgebra:
             assert_allclose(both.value(t), 2.5 * a.value(t) + b.value(t), rtol=1e-14)
 
     def test_sum_rejects_stochastic_parts(self):
-        with pytest.raises(ValueError):
-            Sum([Constant(1.0), WhiteNoise(0.1)])
+        for part in (WhiteNoise(0.1), DrydenGust("u"), GroundEffect()):
+            with pytest.raises(ValueError, match="pure-time"):
+                Sum([Constant(1.0), part])
+
+    def test_scaled_rejects_stochastic_inner(self):
+        for inner in (WhiteNoise(0.1, seed=9), DrydenGust("u"), GroundEffect()):
+            with pytest.raises(ValueError, match="pure-time"):
+                Scaled(inner, 1.0)
 
 
 PURE_TIME = {
@@ -237,12 +249,6 @@ class TestSpecEquality:
         with pytest.raises(AttributeError):
             setattr(sig, attr, 1.0)
 
-    def test_stochastic_inner_compares_by_identity(self):
-        noise = WhiteNoise(0.1)
-        assert Scaled(noise, 2.0) == Scaled(noise, 2.0)
-        assert Scaled(noise, 2.0) != Scaled(WhiteNoise(0.1), 2.0)
-        assert Scaled(noise, 2.0).stochastic
-
 
 class TestDerivativeL1:
     def test_constant_is_flat(self):
@@ -268,7 +274,7 @@ class TestDerivativeL1:
 
     def test_signal_without_derivative_rejected(self):
         class ValueOnly(Signal):
-            def value(self, t, pos=None):
+            def value(self, t):
                 return 0.5 * t
 
         with pytest.raises(NonDifferentiable, match="ValueOnly"):

@@ -6,10 +6,10 @@ every column, so a rewrite that reorders one floating-point operation, or
 turns a -0.0 into +0.0, fails here. The cases cover the per-tick paths the
 engine has: all three observers under measurement noise with a 5:1 outer
 loop, the hgdo run at 4 substeps and at 1, the naive observer with stochastic
-forcing, the per-stage closure path of a position-dependent signal, the full
+forcing, the ground effect evaluated at every RK4 stage's height, the full
 plant, and the run without rotor allocation. Four more cases cover the fused
 RK4 kernel's branches: 16 substeps per tick (eps 0.0025), all six channels
-pre-gridded at 4 substeps, the per-stage closure path under the naive
+pre-gridded at 4 substeps, the ground effect under the naive
 observer, and the full plant under measurement noise. Three three-second
 cases (1500 base steps) cross several of the engine's row blocks and end
 part way into one: the composite disturbance pre-gridded at 4 substeps, the

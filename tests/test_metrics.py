@@ -270,7 +270,7 @@ class TestMetricsReport:
 class ValueOnly(Signal):
     """A library-defined pure-time signal with no `derivative`."""
 
-    def value(self, t, pos=None):
+    def value(self, t):
         return 0.1 * t
 
 
@@ -281,8 +281,8 @@ class Opaque(Signal):
     def __init__(self, inner):
         self.inner = inner
 
-    def value(self, t, pos=None):
-        return self.inner.value(t, pos)
+    def value(self, t):
+        return self.inner.value(t)
 
 
 @pytest.fixture

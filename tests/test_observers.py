@@ -26,13 +26,20 @@ G = MICRO_QUAD.g
 
 
 def hover_kernel(eps, dt, channel, d_fn):
-    """The engine's kernel with the hgdo observer on, one RK4 substep per
-    step of dt, and d_fn(t) as the deterministic disturbance of one channel
-    (0-2 force, 3-5 torque), evaluated at every RK4 stage."""
+    """step(y, H, t): the engine's kernel with the hgdo observer on, one RK4
+    substep per step of dt, and d_fn as the deterministic disturbance of one
+    channel (0-2 force, 3-5 torque), fed as the three grid rows of the step
+    at t, t + dt/2 and t + dt, the times of its RK4 stages."""
     cfg = ScenarioConfig(epsilon1=eps, epsilon2=eps, observer="hgdo", dt=dt, substeps=1)
-    slow = [None] * 6
-    slow[channel] = lambda t, pos: d_fn(t)
-    return build_stepper(cfg, MICRO_QUAD, 1, dt, slow)
+    advance = build_stepper(cfg, MICRO_QUAD, 1, dt, None)
+
+    def step(y, H, t):
+        rows = [[0.0] * 6 for _ in range(3)]
+        for row, tt in zip(rows, (t, t + 0.5 * dt, t + dt)):
+            row[channel] = d_fn(tt)
+        return advance(y, H, rows, 0)
+
+    return step
 
 
 def run_coupled(d_fn, eps, dt, t_end, v0=0.0):
@@ -43,7 +50,7 @@ def run_coupled(d_fn, eps, dt, t_end, v0=0.0):
     so the plant's vertical velocity obeys v' = d(t). Returns (ts, d_hat_z,
     d_true_z).
     """
-    advance = hover_kernel(eps, dt, 2, d_fn)
+    step = hover_kernel(eps, dt, 2, d_fn)
     y = (0.0, 0.0, 0.0, 0.0, 0.0, v0) + (0.0,) * 6 + hgdo_init((0.0, 0.0, v0), eps) + (0.0,) * 3
     H = [G] + [0.0] * 15
     n = int(round(t_end / dt))
@@ -54,7 +61,7 @@ def run_coupled(d_fn, eps, dt, t_end, v0=0.0):
     dtrue[0] = d_fn(0.0)
     for k in range(n):
         t = k * dt
-        y = advance(y, H, None, 0, t)
+        y = step(y, H, t)
         ts[k + 1] = t + dt
         dhat[k + 1] = y[14] + y[5] / eps
         dtrue[k + 1] = d_fn(t + dt)
@@ -108,11 +115,11 @@ class TestStepResponse:
         eps = 0.02
         dt = eps / 20.0
         d0 = 0.3
-        advance = hover_kernel(eps, dt, 3, lambda t: d0)
+        step = hover_kernel(eps, dt, 3, lambda t: d0)
         y = (0.0,) * 12 + hgdo_init(np.zeros(3), eps) + hgdo_init(np.zeros(3), eps)
         H = [G] + [0.0] * 15
         for k in range(20):
-            y = advance(y, H, None, 0, k * dt)
+            y = step(y, H, k * dt)
         dhat = y[15] + y[9] / eps
         assert_allclose(dhat, d0 * (1.0 - math.exp(-1.0)), rtol=1e-6)
 
@@ -144,7 +151,7 @@ class TestNaiveVariant:
 
         # the engine's kernel: the true velocity ramps at d0, and the
         # observer sees it through the noise held over each step (H[6])
-        advance = hover_kernel(eps, dt, 2, lambda t: d0)
+        step = hover_kernel(eps, dt, 2, lambda t: d0)
         y = (0.0,) * 12 + hgdo_init(np.array([0.0, 0.0, noise[0]]), eps) + (0.0,) * 3
         H = [G] + [0.0] * 15
         vm = np.zeros(n + 1)  # measured velocity
@@ -152,7 +159,7 @@ class TestNaiveVariant:
         aux = np.zeros(n + 1)
         for k in range(n):
             H[6] = noise[k]
-            y = advance(y, H, None, 0, k * dt)
+            y = step(y, H, k * dt)
             vm[k + 1] = y[5] + noise[k + 1]
             aux[k + 1] = y[14] + vm[k + 1] / eps
         assert_allclose(vm - noise, d0 * dt * np.arange(n + 1), rtol=1e-9, atol=1e-12)
@@ -202,7 +209,7 @@ class TestTracking:
 class TestInterface:
     def test_auxiliary_steps_take_no_derivative_input(self):
         # the engine's observer: its start, its kernel and the kernel's step
-        advance = hover_kernel(0.01, 0.002, 2, lambda t: 0.0)
+        advance = build_stepper(ScenarioConfig(), MICRO_QUAD, 1, 0.002, None)
         for fn in (hgdo_init, build_stepper, advance):
             names = set(inspect.signature(fn).parameters)
             assert not any("dot" in n or "deriv" in n for n in names), fn.__name__

@@ -60,6 +60,16 @@ def test_traced_pass(perfbench, monkeypatch, tmp_path):
     assert layers["control.ticks"]["value"] > 0
 
 
+def test_traced_simulate_suite_pass(perfbench, monkeypatch, tmp_path):
+    # the only traced pass that runs ground_effect and the CSV hooks, and so
+    # the only one where hooks._pregrid_rows reads a GroundEffect
+    bench = perfbench[0]
+    wl = workload(bench, monkeypatch, tmp_path, "simulate_suite", 0)
+    _, layers = bench.traced(wl, 0)
+    assert wl.failures == []
+    assert layers["emit.csv_bytes"]["value"] > 0
+
+
 def test_every_hooked_name_resolves_and_is_restored(perfbench):
     _, hooks, tracer = perfbench
     t = tracer.Tracer()

@@ -66,10 +66,10 @@ def kernel_deriv(att=(0.0, 0.0, 0.0), rate=(0.0, 0.0, 0.0), accel=0.0,
     h. accel is the held thrust per unit mass, u2vec the torque per unit
     inertia."""
     cfg = ScenarioConfig(plant=plant, observer="none", substeps=1)
-    advance = build_stepper(cfg, p, 1, h, [None] * 6)
+    advance = build_stepper(cfg, p, 1, h, None)
     y = tuple(float(v) for v in (*pos, *vel, *att, *rate)) + (0.0,) * 6
     H = [float(accel), *map(float, u2vec)] + [0.0] * 12
-    out = advance(y, H, None, 0, 0.0)
+    out = advance(y, H, None, 0)
     return (np.array(out[:12]) - np.array(y[:12])) / h
 
 

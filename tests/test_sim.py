@@ -99,9 +99,9 @@ class TestTraceShape:
         ((None, None, Constant(0.5)), True),
         ((CompositeSinusoid(), None, None), True),
         ((None, None, None), False),
-        ((None, None, GroundEffect()), False),          # evaluated per stage
+        ((None, None, GroundEffect()), False),          # a plant term, per stage
         ((DrydenGust("u"), None, None), False),         # held per base step
-        ((CompositeSinusoid(), None, GroundEffect()), False),
+        ((CompositeSinusoid(), None, GroundEffect()), True),
     ])
     def test_pregrid_rows(self, signals, gridded):
         # the grid holds every half substep: 2 * n_sub rows per base step,
@@ -267,6 +267,10 @@ class TestGuards:
             ScenarioConfig(noise_power=-0.1)
         with pytest.raises(ValueError):
             ScenarioConfig(epsilon1=0.0)
+        with pytest.raises(ValueError, match="force z only"):
+            ScenarioConfig(force_signals=(None, GroundEffect(), None))
+        with pytest.raises(ValueError, match="force z only"):
+            ScenarioConfig(torque_signals=(None, None, GroundEffect()))
 
 
 class TestLyapunov:
@@ -330,13 +334,18 @@ class TestIntegratorOrder:
         assert order >= 3.8
 
 
-def reference_rhs(y, H, dist, p, eps1, eps2, full, hgdo):
+def reference_rhs(y, H, dist, p, eps1, eps2, full, hgdo, ground=None):
     """The model's right-hand side on numpy arrays, written from the
     equations: dist is the six-channel deterministic disturbance at the
-    stage (force x, y, z, torque x, y, z), added to the held H[10:16]."""
+    stage (force x, y, z, torque x, y, z), added to the held H[10:16];
+    ground, a (strength, z_ref) pair, adds the ground effect at the
+    stage's height to force z."""
     vel, att, rate = y[3:6], y[6:9], y[9:12]
     a, tau, nv, nw = H[0], H[1:4], H[4:7], H[7:10]
     d = H[10:16] + dist
+    if ground is not None:
+        strength, z_ref = ground
+        d[2] += strength * min(max(1.0 - y[2] / z_ref, 0.0), 1.0)
     ph, th, ps = att
     b = np.array([math.cos(ph) * math.sin(th) * math.cos(ps) + math.sin(ph) * math.sin(ps),
                   math.cos(ph) * math.sin(th) * math.sin(ps) - math.sin(ph) * math.cos(ps),
@@ -371,7 +380,8 @@ class TestStepperOracle:
 
     @pytest.mark.parametrize("plant", ["canonical", "full"])
     @pytest.mark.parametrize("observer", ["hgdo", "none"])
-    @pytest.mark.parametrize("disturbance", ["held", "grid", "per_stage"])
+    # per_stage: a ground effect on force z, evaluated at each stage's height
+    @pytest.mark.parametrize("disturbance", ["held", "grid", "per_stage", "grid_and_per_stage"])
     def test_base_step_matches_rk4_reference(self, plant, observer, disturbance):
         rng = np.random.default_rng(11)
         p = MICRO_QUAD
@@ -380,38 +390,44 @@ class TestStepperOracle:
         t = k * dt
         cfg = ScenarioConfig(epsilon1=0.05, epsilon2=0.08, observer=observer,
                              plant=plant, substeps=n_sub)
-        rows = slow = None
+        rows = ground = None
         ib = k * 2 * n_sub    # the step's first row in the block
-        if disturbance == "grid":
+        if disturbance.startswith("grid"):
             rows = rng.normal(0.0, 1.0, (ib + 2 * n_sub + 1, 6)).tolist()
-        if disturbance == "per_stage":
-            slow = [None, lambda tt, pos: 0.3 * pos[2] + math.sin(5.0 * tt),
-                    None, None, None, lambda tt, pos: pos[0] * pos[1] - tt]
-        advance = build_stepper(cfg, p, n_sub, h, slow or [None] * 6)
+        if disturbance.endswith("per_stage"):
+            ground = (0.7, 0.4)
+            if rows is not None:   # the ground effect is alone on force z
+                for row in rows:
+                    row[2] = 0.0
+        advance = build_stepper(cfg, p, n_sub, h, ground)
 
-        def dist(tt, pos):
+        def dist(tt):
             if rows is not None:
                 return np.array(rows[ib + round((tt - t) / (0.5 * h))])
-            if slow is not None:
-                return np.array([0.0 if f is None else f(tt, pos) for f in slow])
             return np.zeros(6)
 
-        for _ in range(20):
+        crossed = 0
+        for i in range(20):
             y = np.concatenate([rng.uniform(-1.0, 1.0, 6), rng.uniform(-0.5, 0.5, 3),
                                 rng.uniform(-2.0, 2.0, 3), rng.uniform(-50.0, 50.0, 6)])
+            if i % 2:   # start just below or above z_ref, moving across it
+                y[2] = 0.4 + rng.uniform(-1e-3, 1e-3)
+                y[5] = 2.0 if y[2] < 0.4 else -2.0
             H = np.concatenate([[rng.uniform(5.0, 15.0)], rng.normal(0.0, 1.0, 3),
                                 rng.normal(0.0, 0.1, 6), rng.normal(0.0, 0.5, 6)])
             want = y.copy()
             for j in range(n_sub):
                 want = rk4_step(lambda tt, s: reference_rhs(
-                    s, H, dist(tt, s[:3]), p, cfg.epsilon1, cfg.epsilon2,
-                    plant == "full", observer == "hgdo"), t + j * h, want, h)
-            got = advance(tuple(y.tolist()), H.tolist(), rows, ib, t)
+                    s, H, dist(tt), p, cfg.epsilon1, cfg.epsilon2,
+                    plant == "full", observer == "hgdo", ground), t + j * h, want, h)
+            got = advance(tuple(y.tolist()), H.tolist(), rows, ib)
             assert type(got) is tuple and len(got) == 18
             assert all(type(v) is float for v in got)
             np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+            crossed += (y[2] < 0.4) != (got[2] < 0.4)
             if observer != "hgdo":   # nothing reads gamma, so it is not integrated
                 assert got[12:] == tuple(y[12:].tolist())
+        assert crossed > 0
 
 
 class TestSetup:
@@ -424,14 +440,14 @@ class TestSetup:
             def __eq__(self, other):
                 return isinstance(other, Counted)
 
-            def value(self, t, pos=None):
+            def value(self, t):
                 calls.append(t)
                 return np.sin(3.0 * t)
 
         cfg = ScenarioConfig(force_signals=(Counted(), Constant(0.5), None),
                              torque_signals=(None, Constant(0.5), Counted()))
-        grid, slow = pregrid(cfg, 2, 10)
-        assert slow == [None] * 6
+        grid, ground = pregrid(cfg, 2, 10)
+        assert ground is None
         assert grid.shape == (2 * 2 * 10 + 1, 6)
         assert len(calls) == 1
         t = np.arange(41) * (0.5 * (0.002 / 2))
@@ -440,18 +456,23 @@ class TestSetup:
         assert (grid[:, 1] == 0.5).all() and (grid[:, 4] == 0.5).all()
         assert not grid[:, 2:4].any()
 
-    def test_pregrid_position_dependent_signal_sends_all_to_slow(self):
-        const, ground, comp = Constant(0.5), GroundEffect(), CompositeSinusoid()
-        cfg = ScenarioConfig(force_signals=(const, None, ground),
+    def test_pregrid_returns_ground_effect_parameters(self):
+        comp = CompositeSinusoid()
+        cfg = ScenarioConfig(force_signals=(Constant(0.5), None, GroundEffect(0.2, 0.4)),
                              torque_signals=(comp, WhiteNoise(0.1), None))
-        grid, slow = pregrid(cfg, 3, 10)
-        assert grid is None
-        assert slow == [const.value, None, ground.value, comp.value, None, None]
+        grid, ground = pregrid(cfg, 3, 10)
+        assert ground == (0.2, 0.4)
+        t = np.arange(2 * 3 * 10 + 1) * (0.5 * (0.002 / 3))
+        assert (grid[:, 0] == 0.5).all()
+        assert grid[:, 3].tobytes() == comp.value(t).tobytes()
+        assert not grid[:, [1, 2, 4, 5]].any()
+        alone = ScenarioConfig(force_signals=(None, None, GroundEffect(-0.1, 1.0)))
+        assert pregrid(alone, 3, 10) == (None, (-0.1, 1.0))
 
     def test_pregrid_without_deterministic_signal_has_no_grid(self):
-        assert pregrid(ScenarioConfig(), 4, 10) == (None, [None] * 6)
+        assert pregrid(ScenarioConfig(), 4, 10) == (None, None)
         stoch = ScenarioConfig(force_signals=(WhiteNoise(0.1), None, None))
-        assert pregrid(stoch, 4, 10) == (None, [None] * 6)
+        assert pregrid(stoch, 4, 10) == (None, None)
 
     def test_held_table(self):
         assert held_table(ScenarioConfig(), 20) is None
@@ -485,17 +506,19 @@ class TestTick:
     run records."""
 
     @pytest.mark.parametrize("observer", ["hgdo", "naive", "none"])
-    @pytest.mark.parametrize("signal", [Constant(0.2), GroundEffect()])
+    # the ground effect reaches up to z_ref = 1 m, above the 0.5 m start
+    @pytest.mark.parametrize("signal", [Constant(0.2), GroundEffect(z_ref=1.0)])
     def test_tick_reproduces_trace_rows(self, observer, signal):
         cfg = lemniscate_cfg(observer=observer, duration=0.02, outer_divisor=2,
-                             noise_power=1e-3, seed=4, force_signals=(signal, None, None))
+                             noise_power=1e-3, seed=4, force_signals=(None, None, signal))
         tr = run_scenario(cfg)
+        assert tr.col("d1z_true")[0] == (0.2 if isinstance(signal, Constant) else 0.3 * 0.5)
         n_sub, n_base = cfg.n_substeps(), 10
-        grid, slow = pregrid(cfg, n_sub, n_base)
+        grid, ground = pregrid(cfg, n_sub, n_base)
         rows = grid.tolist() if grid is not None else None
         held = held_table(cfg, n_base)
         data = np.zeros((2, len(TRACE_COLUMNS)))
-        tick, state = build_tick(cfg, MICRO_QUAD, DEFAULT_GAINS, data, slow,
+        tick, state = build_tick(cfg, MICRO_QUAD, DEFAULT_GAINS, data, ground,
                                  differentiators(cfg))
         # row 0, with the outer loop, from the state the run starts in
         y = (tuple(float(v) for v in (*cfg.pos0, *cfg.vel0, *cfg.att0, *cfg.rate0))

@@ -31,6 +31,13 @@ def wrap_angle(a: float) -> float:
     return math.pi if r == -math.pi else r
 
 
+def wrap_angles(a: np.ndarray) -> np.ndarray:
+    """wrap_angle elementwise on a float array, bit for bit."""
+    r = np.fmod(a + math.pi, 2.0 * math.pi)
+    r = np.where(r < 0.0, r + 2.0 * math.pi, r) - math.pi
+    return np.where(r == -math.pi, math.pi, r)
+
+
 @dataclass
 class SmcGains:
     """Per-axis controller gains; lam/k/l vectors run (x, y, z) or (phi, theta, psi)."""
@@ -47,9 +54,27 @@ class SmcGains:
     tau_max: np.ndarray | None = None  # torque ceiling [N m]; None = from omega_max
 
     def __post_init__(self):
-        # float arrays, so the control loops can read them with tolist()
+        # float arrays, so outer_floats and inner_floats read them as floats
+        # with tolist()
         for name in ("lam1", "lam2", "k1", "k2", "l1", "l2"):
             setattr(self, name, np.asarray(getattr(self, name), dtype=float))
+
+    def _mu(self) -> float:
+        mu = float(self.mu)
+        if mu <= 0.0:
+            raise ValueError("boundary layer mu must be positive")
+        return mu
+
+    def outer_floats(self, p: VehicleParams) -> tuple:
+        """outer_loop's constants as floats: lam1, k1 and l1 per axis, mu,
+        the componentwise cap u1_max/(m*sqrt(3)) and g. Read once per run."""
+        return (*self.lam1.tolist(), *self.k1.tolist(), *self.l1.tolist(), self._mu(),
+                self.thrust_cap(p) / (p.m * math.sqrt(3.0)), p.g)
+
+    def inner_floats(self) -> tuple:
+        """inner_loop's constants as floats: lam2, k2 and l2 per axis, and mu.
+        Read once per run."""
+        return (*self.lam2.tolist(), *self.k2.tolist(), *self.l2.tolist(), self._mu())
 
     def thrust_cap(self, p: VehicleParams) -> float:
         return 2.0 * p.m * p.g if self.u1_max is None else float(self.u1_max)
@@ -92,23 +117,17 @@ def _switching_law(e, e_dot, ff, lam, k, l, mu):
     return ff + lam * e_dot + k * sw + l * s
 
 
-def outer_loop(pos, vel, pos_d, vel_d, acc_d, d1_hat, gains: SmcGains,
-               p: VehicleParams):
+def outer_loop(pos, vel, pos_d, vel_d, acc_d, d1_hat, k: tuple):
     """Virtual acceleration command from position tracking error.
 
     Componentwise clamp at u1_max/(m*sqrt(3)) guarantees the extracted thrust
     m*||u|| never exceeds u1_max, whatever the direction (peaking guard).
-    Takes any 3-sequences and returns (u1vec, clamped) with u1vec a tuple of
-    floats. Plain float arithmetic, one call per axis: this runs once per
-    control tick and array temporaries would dominate its cost.
+    The vectors are float 3-sequences and k is SmcGains.outer_floats(p);
+    returns (u1vec, clamped) with u1vec a tuple of floats. Plain float
+    arithmetic, one call per axis: this runs once per control tick and array
+    temporaries would dominate its cost.
     """
-    mu = gains.mu
-    if mu <= 0.0:
-        raise ValueError("boundary layer mu must be positive")
-    cap = gains.thrust_cap(p) / (p.m * math.sqrt(3.0))
-    lx, ly, lz = gains.lam1.tolist()
-    kx, ky, kz = gains.k1.tolist()
-    mx, my, mz = gains.l1.tolist()
+    lx, ly, lz, kx, ky, kz, mx, my, mz, mu, cap, g = k
     x, y, z = pos
     vx, vy, vz = vel
     rx, ry, rz = pos_d
@@ -120,12 +139,9 @@ def outer_loop(pos, vel, pos_d, vel_d, acc_d, d1_hat, gains: SmcGains,
     u = []
     clamped = False
     for ui in (
-        _switching_law(float(rx) - float(x), float(rvx) - float(vx),
-                       float(ax) + 0.0 - float(dx), lx, kx, mx, mu),
-        _switching_law(float(ry) - float(y), float(rvy) - float(vy),
-                       float(ay) + 0.0 - float(dy), ly, ky, my, mu),
-        _switching_law(float(rz) - float(z), float(rvz) - float(vz),
-                       float(az) + p.g - float(dz), lz, kz, mz, mu),
+        _switching_law(rx - x, rvx - vx, ax + 0.0 - dx, lx, kx, mx, mu),
+        _switching_law(ry - y, rvy - vy, ay + 0.0 - dy, ly, ky, my, mu),
+        _switching_law(rz - z, rvz - vz, az + g - dz, lz, kz, mz, mu),
     ):
         if ui > cap:
             ui = cap
@@ -159,20 +175,16 @@ def extract_attitude(u1vec, psi_d: float, gains: SmcGains, p: VehicleParams) -> 
     return AttitudeSetpoint((phi_d, theta_d, psi_d), thrust)
 
 
-def inner_loop(att, rate, sp: AttitudeSetpoint, d2_hat, f2val, gains: SmcGains) -> tuple:
+def inner_loop(att, rate, sp: AttitudeSetpoint, d2_hat, f2val, k: tuple) -> tuple:
     """Angular acceleration command tracking the attitude setpoint.
 
     Yaw error is wrapped to (-pi, pi] so the loop never unwinds through a
-    full turn. Takes any 3-sequences and returns u2vec as a tuple of floats;
-    the engine maps it to torques and clamps. Plain float arithmetic for the
-    same reason as outer_loop (runs every base step).
+    full turn. The vectors are float 3-sequences and k is
+    SmcGains.inner_floats(); returns u2vec as a tuple of floats, which the
+    engine maps to torques and clamps. Plain float arithmetic for the same
+    reason as outer_loop (runs every base step).
     """
-    mu = gains.mu
-    if mu <= 0.0:
-        raise ValueError("boundary layer mu must be positive")
-    lx, ly, lz = gains.lam2.tolist()
-    kx, ky, kz = gains.k2.tolist()
-    mx, my, mz = gains.l2.tolist()
+    lx, ly, lz, kx, ky, kz, mx, my, mz, mu = k
     a0, a1, a2 = att
     w0, w1, w2 = rate
     r0, r1, r2 = sp.angles
@@ -181,12 +193,9 @@ def inner_loop(att, rate, sp: AttitudeSetpoint, d2_hat, f2val, gains: SmcGains) 
     f0, f1, f2 = f2val
     d0, d1, d2 = d2_hat
     return (
-        _switching_law(float(r0) - float(a0), float(rr0) - float(w0),
-                       float(c0) - float(f0) - float(d0), lx, kx, mx, mu),
-        _switching_law(float(r1) - float(a1), float(rr1) - float(w1),
-                       float(c1) - float(f1) - float(d1), ly, ky, my, mu),
-        _switching_law(wrap_angle(float(r2) - float(a2)), float(rr2) - float(w2),
-                       float(c2) - float(f2) - float(d2), lz, kz, mz, mu),
+        _switching_law(r0 - a0, rr0 - w0, c0 - f0 - d0, lx, kx, mx, mu),
+        _switching_law(r1 - a1, rr1 - w1, c1 - f1 - d1, ly, ky, my, mu),
+        _switching_law(wrap_angle(r2 - a2), rr2 - w2, c2 - f2 - d2, lz, kz, mz, mu),
     )
 
 

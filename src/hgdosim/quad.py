@@ -8,8 +8,9 @@ z-up, so gravity enters the translational dynamics as (0, 0, -g).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+from math import sqrt
+from typing import NamedTuple
 
 import numpy as np
 
@@ -37,8 +38,7 @@ class VehicleParams:
 MICRO_QUAD = VehicleParams()
 
 
-@dataclass
-class RotorSpeeds:
+class RotorSpeeds(NamedTuple):
     """Rotor speed magnitudes [rad/s] as a float tuple, plus a flag set when
     the limit clipped them."""
 
@@ -46,8 +46,7 @@ class RotorSpeeds:
     saturated: bool = False
 
 
-@dataclass
-class WrenchCommand:
+class WrenchCommand(NamedTuple):
     """Collective thrust [N] and body torques [N m], any 3-sequence
     (a float tuple when rotor_wrench builds it)."""
 
@@ -84,45 +83,49 @@ def rotor_wrench(speeds, p: VehicleParams) -> WrenchCommand:
     Rotors 1..4 sit on the +x, +y, -x, -y body arms; 1 and 3 spin opposite
     to 2 and 4, so their drag torques fight each other about z.
 
-    speeds is a RotorSpeeds or any 4-sequence; the torque is a float tuple.
+    speeds is any 4-sequence of floats (a RotorSpeeds' omega); the torque is
+    a float tuple. The squares are x ** 2 (C pow), which the traces pin: it
+    and x * x differ in the last bit on some inputs.
     """
-    om = speeds.omega if isinstance(speeds, RotorSpeeds) else speeds
-    o0, o1, o2, o3 = om
-    s0 = float(o0) ** 2
-    s1 = float(o1) ** 2
-    s2 = float(o2) ** 2
-    s3 = float(o3) ** 2
-    thrust = p.kt * (s0 + s1 + s2 + s3)
-    torque = (
-        p.arm * p.kt * (s1 - s3),
-        p.arm * p.kt * (s2 - s0),
-        p.kq * (s1 + s3 - s0 - s2),
-    )
-    return WrenchCommand(thrust, torque)
+    o0, o1, o2, o3 = speeds
+    s0 = o0 ** 2
+    s1 = o1 ** 2
+    s2 = o2 ** 2
+    s3 = o3 ** 2
+    kt = p.kt
+    return WrenchCommand(kt * (s0 + s1 + s2 + s3),
+                         (p.arm * kt * (s1 - s3), p.arm * kt * (s2 - s0),
+                          p.kq * (s1 + s3 - s0 - s2)))
 
 
-def allocate_rotors(w: WrenchCommand, p: VehicleParams) -> RotorSpeeds:
+def allocate_rotors(w, p: VehicleParams) -> RotorSpeeds:
     """Invert the wrench map: squared rotor speeds from thrust and torques.
 
-    Negative squared speeds (infeasible demand) clip to zero and speeds
-    clip to omega_max; either sets the saturated flag. The speeds are a
-    tuple of four floats.
+    w is a WrenchCommand or any (thrust, (tau_x, tau_y, tau_z)) pair of
+    floats. Negative squared speeds (infeasible demand) clip to zero and
+    speeds clip to omega_max; either sets the saturated flag. The speeds
+    are a tuple of four floats.
     """
-    tx, ty, tz = w.torque
-    t4 = w.thrust / (4.0 * p.kt)
-    rx = float(tx) / (2.0 * p.arm * p.kt)
-    ry = float(ty) / (2.0 * p.arm * p.kt)
-    rz = float(tz) / (4.0 * p.kq)
+    thrust, (tx, ty, tz) = w
+    t4 = thrust / (4.0 * p.kt)
+    rx = tx / (2.0 * p.arm * p.kt)
+    ry = ty / (2.0 * p.arm * p.kt)
+    rz = tz / (4.0 * p.kq)
     omax = p.omega_max
     saturated = False
-    om = []
-    for sq in (t4 - ry - rz, t4 + rx + rz, t4 + ry - rz, t4 - rx + rz):
-        if sq < 0.0:
-            saturated = True
-            sq = 0.0
-        o = math.sqrt(sq)
-        if o > omax:
-            saturated = True
-            o = float(omax)
-        om.append(o)
-    return RotorSpeeds(tuple(om), saturated)
+    sq0 = t4 - ry - rz
+    sq1 = t4 + rx + rz
+    sq2 = t4 + ry - rz
+    sq3 = t4 - rx + rz
+    if sq0 < 0.0 or sq1 < 0.0 or sq2 < 0.0 or sq3 < 0.0:
+        saturated = True
+        sq0, sq1, sq2, sq3 = (0.0 if sq < 0.0 else sq for sq in (sq0, sq1, sq2, sq3))
+    o0 = sqrt(sq0)
+    o1 = sqrt(sq1)
+    o2 = sqrt(sq2)
+    o3 = sqrt(sq3)
+    if o0 > omax or o1 > omax or o2 > omax or o3 > omax:
+        saturated = True
+        omax = float(omax)
+        o0, o1, o2, o3 = (omax if o > omax else o for o in (o0, o1, o2, o3))
+    return RotorSpeeds((o0, o1, o2, o3), saturated)

@@ -21,12 +21,14 @@ injected disturbance and not to an allocation residual.
 run_scenario sets a run up once (pregrid, held_table, differentiators),
 then moves each base step with one call of the tick (build_tick: observer,
 controller, allocation, trace row) and one of the kernel (build_stepper:
-the RK4 substeps of plant and observer).
+the RK4 substeps of plant and observer). The trace columns that are pure
+functions of others are filled after the loop (derive_columns).
 """
 
 from __future__ import annotations
 
 import math
+import struct
 import time
 from dataclasses import dataclass, field
 
@@ -40,10 +42,11 @@ from .control import (
     inner_loop,
     outer_loop,
     wrap_angle,
+    wrap_angles,
 )
 from .disturbances import GroundEffect, Zero
 from .observers import DerivativeFilter, hgdo_init, naive_hgdo_step
-from .quad import MICRO_QUAD, VehicleParams, WrenchCommand, allocate_rotors, rotor_wrench
+from .quad import MICRO_QUAD, VehicleParams, allocate_rotors, rotor_wrench
 from .trajectories import HoverRamp, Trajectory
 
 FLAG_OUTER_CLAMP = 1    # virtual acceleration hit its componentwise cap
@@ -452,6 +455,45 @@ def build_stepper(cfg: ScenarioConfig, p: VehicleParams, n_sub: int, h: float, g
     return advance
 
 
+# One trace row as the tick writes it: the derived columns are left as zero
+# pad bytes, except that evx..evz hold the reference velocity and ep..er the
+# setpoint rates until derive_columns turns them into errors.
+_ROW = struct.Struct("19d24x3d24x3d48x33d8x")
+assert _ROW.size == 8 * len(TRACE_COLUMNS)
+
+
+def derive_columns(data: np.ndarray, gn: SmcGains) -> None:
+    """Fill the 19 derived columns of rows the tick wrote, in place, one
+    _BLOCK of rows at a time so the temporaries stay small.
+
+    ex..ez and ephi..epsi are reference minus state (yaw wrapped to
+    (-pi, pi]); evx..evz and ep..er are the parked reference velocity and
+    setpoint rates minus the measured velocity and rates; s1 = ev + lam1*e,
+    s2 = e_rate + lam2*e_att; lyapunov is half the sum of the squared
+    surfaces and estimate errors, each sum taken left to right. Each is the
+    elementwise form of the float operations the tick once did per row, in
+    the same grouping, so the columns keep every bit.
+    """
+    lam1, lam2 = gn.lam1, gn.lam2
+    for i in range(0, len(data), _BLOCK):
+        rows = data[i:i + _BLOCK]
+        with np.errstate(all="ignore"):   # Python floats overflow silently too
+            rows[:, 19:22] = rows[:, 13:16] - rows[:, 1:4]
+            rows[:, 22:25] -= rows[:, 63:66]
+            rows[:, 25:28] = rows[:, 16:19] - rows[:, 7:10]
+            rows[:, 27] = wrap_angles(rows[:, 27])
+            rows[:, 28:31] -= rows[:, 66:69]
+            rows[:, 31:34] = rows[:, 22:25] + lam1 * rows[:, 19:22]
+            rows[:, 34:37] = rows[:, 28:31] + lam2 * rows[:, 25:28]
+            sq = rows[:, 31:37] * rows[:, 31:37]
+            err = rows[:, 37:43] - rows[:, 43:49]
+            err *= err
+            rows[:, 70] = 0.5 * ((sq[:, 0] + sq[:, 1] + sq[:, 2])
+                                 + (sq[:, 3] + sq[:, 4] + sq[:, 5])
+                                 + (err[:, 0] + err[:, 1] + err[:, 2])
+                                 + (err[:, 3] + err[:, 4] + err[:, 5]))
+
+
 def build_tick(cfg: ScenarioConfig, p: VehicleParams, gn: SmcGains, data: np.ndarray,
                ground, filters):
     """Return (tick, state0): the control work of one base step, and the
@@ -460,7 +502,8 @@ def build_tick(cfg: ScenarioConfig, p: VehicleParams, gn: SmcGains, data: np.nda
     tick(k, t, y, H, rows, ib, flags, state) -> state runs base step k on
     the 18-float state y: observer, outer loop on every outer_divisor-th
     step, inner loop, torque clamps and allocation. It reads the held noise
-    and stochastic draws from H[4:16], writes row k of data, and puts the
+    and stochastic draws from H[4:16], writes row k of data with one
+    struct pack (the derived columns stay for derive_columns), and puts the
     applied thrust and torques per unit mass and inertia in H[0:4] for the
     kernel. flags carry over from the step before; the d*_true columns
     read rows[ib] (zeros when rows is None), force z plus the ground effect
@@ -469,6 +512,11 @@ def build_tick(cfg: ScenarioConfig, p: VehicleParams, gn: SmcGains, data: np.nda
     estimates and raw and low-passed model terms, then what the outer loop
     holds between its ticks. The six filters of differentiators() are
     stepped in place.
+
+    Gains, caps and vehicle constants are read as floats here, once per
+    run, so the tick does float arithmetic only. It calls outer_loop,
+    extract_attitude, inner_loop, allocate_rotors, rotor_wrench and
+    naive_hgdo_step through this module's namespace.
     """
     dt = cfg.dt
     outer_div = cfg.outer_divisor
@@ -483,14 +531,18 @@ def build_tick(cfg: ScenarioConfig, p: VehicleParams, gn: SmcGains, data: np.nda
     ie2 = 1.0 / eps2
     use_hgdo = cfg.observer == "hgdo"
     use_naive = cfg.observer == "naive"
-    capx, capy, capz = (float(v) for v in gn.torque_cap(p))
-    thrust_cap = gn.thrust_cap(p)
-    lam10, lam11, lam12 = (float(v) for v in gn.lam1)
-    lam20, lam21, lam22 = (float(v) for v in gn.lam2)
+    capx, capy, capz = gn.torque_cap(p).tolist()
+    thrust_limit = gn.thrust_cap(p) * (1.0 + 1e-9) + 1e-12
+    uz_min = float(gn.uz_min)
+    outer_k = gn.outer_floats(p)
+    inner_k = gn.inner_floats()
     trajectory = cfg.trajectory
     allocate = cfg.allocate
     gs, gz = ground or (0.0, 1.0)
     fd_vel, fd_rate, ref_vel, ref_acc, sp_rate, sp_acc = filters
+    pack = _ROW.pack_into
+    buf = memoryview(data).cast("B")
+    row_bytes = _ROW.size
     # the model terms go through the same low-pass as the finite differences;
     # without the matched lag, fast angular-acceleration content fails to
     # cancel between the two forcing paths and feeds back into the torque
@@ -536,30 +588,26 @@ def build_tick(cfg: ScenarioConfig, p: VehicleParams, gn: SmcGains, data: np.nda
 
         if k % outer_div == 0:
             outer_flags = 0
-            pos_d = tuple(map(float, trajectory.position(t)))
+            pos_d = tuple(trajectory.position(t).tolist())
             psi_d = trajectory.yaw(t)
             vel_d = ref_vel.step(pos_d, dt_outer)
             acc_d = ref_acc.step(vel_d, dt_outer)
             u1, clamped = outer_loop((px, py, pz), (vmx, vmy, vmz),
-                                     pos_d, vel_d, acc_d, d1_hat, gn, p)
+                                     pos_d, vel_d, acc_d, d1_hat, outer_k)
             if clamped:
                 outer_flags |= FLAG_OUTER_CLAMP
-            if u1[2] < gn.uz_min:
-                u1 = (u1[0], u1[1], float(gn.uz_min))
+            if u1[2] < uz_min:
+                u1 = (u1[0], u1[1], uz_min)
                 outer_flags |= FLAG_UZ_FLOOR
             sp = extract_attitude(u1, psi_d, gn, p)
             sp.rates = sp_rate.step(sp.angles, dt_outer)
             sp.accels = sp_acc.step(sp.rates, dt_outer)
-            assert sp.thrust <= thrust_cap * (1.0 + 1e-9) + 1e-12
+            assert sp.thrust <= thrust_limit
         flags |= outer_flags
-        pd0, pd1, pd2 = pos_d
-        vd0, vd1, vd2 = vel_d
-        spa0, spa1, spa2 = sp.angles
-        sr0, sr1, sr2 = sp.rates
         thrust_cmd = sp.thrust
 
         u20, u21, u22 = inner_loop((ph, th, ps), (rmp, rmq, rmr), sp, d2_hat,
-                                   (f2x, f2y, f2z), gn)
+                                   (f2x, f2y, f2z), inner_k)
         tcx = jx * u20
         tcy = jy * u21
         tcz = jz * u22
@@ -569,14 +617,11 @@ def build_tick(cfg: ScenarioConfig, p: VehicleParams, gn: SmcGains, data: np.nda
         elif tcy < -capy: tcy = -capy; flags |= FLAG_TORQUE_CLAMP
         if tcz > capz: tcz = capz; flags |= FLAG_TORQUE_CLAMP
         elif tcz < -capz: tcz = -capz; flags |= FLAG_TORQUE_CLAMP
-        rotors = allocate_rotors(WrenchCommand(thrust_cmd, (tcx, tcy, tcz)), p)
-        om0, om1, om2, om3 = rotors.omega
+        omega, saturated = allocate_rotors((thrust_cmd, (tcx, tcy, tcz)), p)
         if allocate:
-            if rotors.saturated:
+            if saturated:
                 flags |= FLAG_ROTOR_SAT
-            applied = rotor_wrench(rotors.omega, p)
-            thrust_act = applied.thrust
-            ta0, ta1, ta2 = applied.torque
+            thrust_act, (ta0, ta1, ta2) = rotor_wrench(omega, p)
         else:
             thrust_act = thrust_cmd
             ta0, ta1, ta2 = tcx, tcy, tcz
@@ -592,58 +637,17 @@ def build_tick(cfg: ScenarioConfig, p: VehicleParams, gn: SmcGains, data: np.nda
                   g - a_act * cph * cth,
                   -f2x - ta0 / jx, -f2y - ta1 / jy, -f2z - ta2 / jz)
 
-        e1x = pd0 - px
-        e1y = pd1 - py
-        e1z = pd2 - pz
-        ed1x = vd0 - vmx
-        ed1y = vd1 - vmy
-        ed1z = vd2 - vmz
-        s1x = ed1x + lam10 * e1x
-        s1y = ed1y + lam11 * e1y
-        s1z = ed1z + lam12 * e1z
-        e2x = spa0 - ph
-        e2y = spa1 - th
-        e2z = wrap_angle(spa2 - ps)
-        ed2x = sr0 - rmp
-        ed2y = sr1 - rmq
-        ed2z = sr2 - rmr
-        s2x = ed2x + lam20 * e2x
-        s2y = ed2y + lam21 * e2y
-        s2z = ed2z + lam22 * e2z
-
         d0, d1, d2, d3, d4, d5 = rows[ib] if rows is not None else (0.0,) * 6
-        d1tx = hf0 + d0
-        d1ty = hf1 + d1
         d1tz = hf2 + d2
-        d2tx = ht0 + d3
-        d2ty = ht1 + d4
-        d2tz = ht2 + d5
         if ground:
             d1tz += gs * min(max(1.0 - pz / gz, 0.0), 1.0)
-        dd1x = d1tx - d1_hat[0]
-        dd1y = d1ty - d1_hat[1]
-        dd1z = d1tz - d1_hat[2]
-        dd2x = d2tx - d2_hat[0]
-        dd2y = d2ty - d2_hat[1]
-        dd2z = d2tz - d2_hat[2]
-        lyap = 0.5 * ((s1x * s1x + s1y * s1y + s1z * s1z)
-                      + (s2x * s2x + s2y * s2y + s2z * s2z)
-                      + (dd1x * dd1x + dd1y * dd1y + dd1z * dd1z)
-                      + (dd2x * dd2x + dd2y * dd2y + dd2z * dd2z))
-
-        data[k] = (
-            t, px, py, pz, vx, vy, vz, ph, th, ps, wp, wq, wr,
-            pd0, pd1, pd2, spa0, spa1, spa2,
-            e1x, e1y, e1z, ed1x, ed1y, ed1z,
-            e2x, e2y, e2z, ed2x, ed2y, ed2z,
-            s1x, s1y, s1z, s2x, s2y, s2z,
-            d1tx, d1ty, d1tz, d2tx, d2ty, d2tz,
-            d1_hat[0], d1_hat[1], d1_hat[2], d2_hat[0], d2_hat[1], d2_hat[2],
-            u1[0], u1[1], u1[2], u20, u21, u22,
-            thrust_act, ta0, ta1, ta2, om0, om1, om2, om3,
-            vmx, vmy, vmz, rmp, rmq, rmr,
-            float(flags), lyap,
-        )
+        pack(buf, k * row_bytes,
+             t, px, py, pz, vx, vy, vz, ph, th, ps, wp, wq, wr,
+             *pos_d, *sp.angles, *vel_d, *sp.rates,
+             hf0 + d0, hf1 + d1, d1tz, ht0 + d3, ht1 + d4, ht2 + d5,
+             *d1_hat, *d2_hat, *u1, u20, u21, u22,
+             thrust_act, ta0, ta1, ta2, *omega,
+             vmx, vmy, vmz, rmp, rmq, rmr, flags)
         H[0] = thrust_act / m
         H[1] = ta0 / jx
         H[2] = ta1 / jy
@@ -673,7 +677,10 @@ def run_scenario(cfg: ScenarioConfig, params: VehicleParams | None = None,
 
     Everything that runs once per tick (observer, controller, allocation)
     works on Python floats and float tuples, in a fixed operation order:
-    the traces depend on every bit of it.
+    the traces depend on every bit of it. The tick records the 52 columns
+    the loop produces; derive_columns fills the other 19 (errors, surfaces,
+    lyapunov) from them after the loop, and on a Diverged trace before it
+    is raised.
 
     Besides the trace, a run holds its pre-evaluated disturbance grid and
     its held table (measurement noise and stochastic draws) as float64
@@ -724,6 +731,7 @@ def run_scenario(cfg: ScenarioConfig, params: VehicleParams | None = None,
 
     def partial(k, message):
         # rows 0..k-1 are recorded and the step out of row k-1 was taken
+        derive_columns(data[:k], gn)
         finish(k, k)
         return Diverged(message, SimTrace(data[:k].copy(), meta, cfg))
 
@@ -773,5 +781,6 @@ def run_scenario(cfg: ScenarioConfig, params: VehicleParams | None = None,
         if ph != y[6] or th != y[7] or ps != y[8]:
             y = y[0:6] + (ph, th, ps) + y[9:18]
 
+    derive_columns(data, gn)
     finish(n_base, n_base + 1)
     return SimTrace(data, meta, cfg)

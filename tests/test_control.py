@@ -13,6 +13,7 @@ from hgdosim.control import (
     inner_loop,
     outer_loop,
     wrap_angle,
+    wrap_angles,
 )
 from hgdosim.quad import MICRO_QUAD, thrust_direction
 from hgdosim.sim import ScenarioConfig, run_scenario
@@ -20,6 +21,8 @@ from hgdosim.trajectories import HoverRamp
 
 P = MICRO_QUAD
 G = DEFAULT_GAINS
+OUTER_K = G.outer_floats(P)
+INNER_K = G.inner_floats()
 
 
 class TestPrimitives:
@@ -44,12 +47,12 @@ class TestPrimitives:
         assert np.allclose(out, [0.5, -1.0, 0.0])
 
     def test_sat_rejects_bad_layer(self):
-        z = np.zeros(3)
+        # the loops read mu once per run, from the gains' float forms
         bad = SmcGains(mu=0.0)
         with pytest.raises(ValueError):
-            inner_loop(z, z, AttitudeSetpoint(z, 0.3), z, z, bad)
+            bad.inner_floats()
         with pytest.raises(ValueError):
-            outer_loop(z, z, z, z, z, z, bad, P)
+            bad.outer_floats(P)
 
     def test_surface(self):
         tr = surface_trace()
@@ -73,7 +76,7 @@ def switch(s, mu):
     gains = SmcGains(lam2=np.zeros(3), k2=np.ones(3), l2=np.zeros(3), mu=mu)
     sp = AttitudeSetpoint((0.0, 0.0, 0.0), 0.3, tuple(s))
     z = np.zeros(3)
-    return inner_loop(z, z, sp, z, z, gains)
+    return inner_loop(z, z, sp, z, z, gains.inner_floats())
 
 
 def surface_trace():
@@ -86,14 +89,14 @@ def surface_trace():
 class TestOuterLoop:
     def test_hover_equilibrium_commands_gravity(self):
         z = np.zeros(3)
-        u, clamped = outer_loop(z, z, z, z, z, z, G, P)
+        u, clamped = outer_loop(z, z, z, z, z, z, OUTER_K)
         assert np.allclose(u, [0.0, 0.0, P.g])
         assert not clamped
 
     def test_single_channel_frozen(self):
         # e_x = 0.1: s = 0.0358, sat = 0.716, u_x = k*0.716 + l*0.0358
         z = np.zeros(3)
-        u, clamped = outer_loop(z, z, [0.1, 0.0, 0.0], z, z, z, G, P)
+        u, clamped = outer_loop(z, z, [0.1, 0.0, 0.0], z, z, z, OUTER_K)
         assert u[0] == pytest.approx(3.86090112, rel=1e-12)
         assert u[1] == 0.0
         assert u[2] == pytest.approx(P.g)
@@ -102,8 +105,8 @@ class TestOuterLoop:
     def test_estimate_feeds_through(self):
         z = np.zeros(3)
         d1 = np.array([0.3, -0.2, 0.5])
-        u0, _ = outer_loop(z, z, z, z, z, z, G, P)
-        u1, _ = outer_loop(z, z, z, z, z, d1, G, P)
+        u0, _ = outer_loop(z, z, z, z, z, z, OUTER_K)
+        u1, _ = outer_loop(z, z, z, z, z, d1, OUTER_K)
         u0, u1 = np.asarray(u0), np.asarray(u1)
         assert np.allclose(u0 - u1, d1)
 
@@ -113,7 +116,7 @@ class TestOuterLoop:
         z = np.zeros(3)
         for _ in range(200):
             target = rng.uniform(-50.0, 50.0, 3)
-            u, clamped = outer_loop(z, z, target, z, z, z, G, P)
+            u, clamped = outer_loop(z, z, target, z, z, z, OUTER_K)
             assert np.all(np.abs(u) <= cap + 1e-12)
             assert P.m * np.linalg.norm(u) <= G.thrust_cap(P) + 1e-12
             if np.abs(u).max() == pytest.approx(cap):
@@ -125,7 +128,7 @@ class TestOuterLoop:
         vel = np.array([0.3, 0.0, -0.1])
         acc_d = np.array([0.4, 0.1, -0.2])
         d = np.array([0.25, -0.5, 0.1])
-        u, _ = outer_loop(pos, vel, pos, vel, acc_d, d, G, P)
+        u, _ = outer_loop(pos, vel, pos, vel, acc_d, d, OUTER_K)
         accel = -np.array([0.0, 0.0, P.g]) + u + d
         assert np.allclose(accel, acc_d, atol=1e-14)
 
@@ -171,19 +174,19 @@ class TestInnerLoop:
         f2val = np.array([(P.jy - P.jz) / P.jx * rate[1] * rate[2],
                           (P.jz - P.jx) / P.jy * rate[0] * rate[2],
                           (P.jx - P.jy) / P.jz * rate[0] * rate[1]])
-        u2 = inner_loop(att, rate, sp, d2, f2val, G)
+        u2 = inner_loop(att, rate, sp, d2, f2val, INNER_K)
         assert np.allclose(u2, accels - f2val - d2, atol=1e-14)
 
     def test_single_channel_frozen(self):
         # e_phi = 0.1: s = 0.0358, sat = 0.716, u = 8.0568*0.716 + 4.0284*0.0358
         sp = AttitudeSetpoint(np.array([0.1, 0.0, 0.0]), 0.3)
-        u2 = inner_loop(np.zeros(3), np.zeros(3), sp, np.zeros(3), np.zeros(3), G)
+        u2 = inner_loop(np.zeros(3), np.zeros(3), sp, np.zeros(3), np.zeros(3), INNER_K)
         assert u2[0] == pytest.approx(5.91288552, rel=1e-12)
         assert u2[1] == 0.0 and u2[2] == 0.0
 
     def test_yaw_error_wraps(self):
         sp = AttitudeSetpoint(np.array([0.0, 0.0, -3.1]), 0.3)
-        u2 = inner_loop([0.0, 0.0, 3.1], np.zeros(3), sp, np.zeros(3), np.zeros(3), G)
+        u2 = inner_loop([0.0, 0.0, 3.1], np.zeros(3), sp, np.zeros(3), np.zeros(3), INNER_K)
         e = 2.0 * math.pi - 6.2
         s = G.lam2[2] * e
         expect = G.k2[2] * min(s / G.mu, 1.0) + G.l2[2] * s
@@ -252,19 +255,17 @@ def _inner_array_oracle(att, rate, sp, d2_hat, f2val, gains):
 
 
 class TestScalarFormsMatchArrayForms:
-    """The float-tuple loops give the same bits as the array formulas."""
+    """The float loops, fed floats as the tick feeds them, give the same bits
+    as the array formulas."""
 
     def test_outer_loop(self, awkward):
         rng = np.random.default_rng(31)
         for i in range(1000):
             # small errors exercise the boundary layer, awkward ones the rest
-            pos, vel, pos_d, vel_d, acc_d, d1 = (
-                awkward(rng, (6, 3)) if i % 2 else rng.normal(scale=0.02, size=(6, 3)))
+            vecs = awkward(rng, (6, 3)) if i % 2 else rng.normal(scale=0.02, size=(6, 3))
             with np.errstate(all="ignore"):
-                want, want_clamped = _outer_array_oracle(pos, vel, pos_d, vel_d,
-                                                         acc_d, d1, G, P)
-            got, clamped = outer_loop(tuple(pos), list(vel), pos_d, vel_d, acc_d,
-                                      tuple(d1), G, P)
+                want, want_clamped = _outer_array_oracle(*vecs, G, P)
+            got, clamped = outer_loop(*map(tuple, vecs.tolist()), OUTER_K)
             assert type(got) is tuple and all(type(v) is float for v in got)
             assert np.array(got).tobytes() == want.tobytes()
             assert clamped == want_clamped
@@ -273,17 +274,30 @@ class TestScalarFormsMatchArrayForms:
         # -0.0 references make every later term -0.0, so only the explicit
         # acc_d + 0.0 on x and y turns the command into +0.0
         z, nz = (0.0, 0.0, 0.0), (-0.0, -0.0, -0.0)
-        u, _ = outer_loop(z, z, nz, nz, nz, z, G, P)
+        u, _ = outer_loop(z, z, nz, nz, nz, z, OUTER_K)
         assert np.array(u).tobytes() == np.array([0.0, 0.0, P.g]).tobytes()
 
     def test_inner_loop(self, awkward):
         rng = np.random.default_rng(37)
         for i in range(1000):
-            att, rate, angles, rates, accels, d2, f2val = (
-                awkward(rng, (7, 3)) if i % 2 else rng.normal(scale=0.02, size=(7, 3)))
-            sp = AttitudeSetpoint(tuple(angles), 0.3, tuple(rates), tuple(accels))
+            vecs = awkward(rng, (7, 3)) if i % 2 else rng.normal(scale=0.02, size=(7, 3))
+            att, rate, angles, rates, accels, d2, f2val = map(tuple, vecs.tolist())
+            sp = AttitudeSetpoint(angles, 0.3, rates, accels)
             with np.errstate(all="ignore"):
                 want = _inner_array_oracle(att, rate, sp, d2, f2val, G)
-            got = inner_loop(tuple(att), rate, sp, list(d2), tuple(f2val), G)
+            got = inner_loop(att, rate, sp, d2, f2val, INNER_K)
             assert type(got) is tuple and all(type(v) is float for v in got)
             assert np.array(got).tobytes() == want.tobytes()
+
+    def test_wrap_angles(self, awkward):
+        # the derived epsi column: wrap_angles on an array gives wrap_angle's
+        # bits, on the awkward finite inputs too (the envelope check stops a
+        # non-finite angle before it is recorded)
+        pi = math.pi
+        edges = [pi, -pi, 3.0 * pi, -3.0 * pi, 5.0 * pi, -7.0 * pi, 0.0, -0.0,
+                 1e-300, -1e-300, 1e6, -1e6, 2.0 * pi, -2.0 * pi,
+                 np.nextafter(pi, 0.0), np.nextafter(-pi, 0.0)]
+        rng = np.random.default_rng(47)
+        a = np.concatenate([edges, awkward(rng, 4000), rng.uniform(-10.0, 10.0, 4000)])
+        want = np.array([wrap_angle(v) for v in a.tolist()])
+        assert wrap_angles(a).tobytes() == want.tobytes()

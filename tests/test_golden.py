@@ -14,6 +14,9 @@ observer, and the full plant under measurement noise. Three three-second
 cases (1500 base steps) cross several of the engine's row blocks and end
 part way into one: the composite disturbance pre-gridded at 4 substeps, the
 noise-free hgdo run, and the naive observer under measurement noise.
+Three full-length noise_study runs leave the flight envelope; their cases
+hash the partial trace that Diverged carries, whose derived columns the
+engine fills on the way out, and pin where the run stopped.
 
 A change that alters the numerics on purpose re-records these hashes (run
 each case and print the digest) and says so in its description.
@@ -35,7 +38,7 @@ import numpy as np
 import pytest
 
 from hgdosim.config import load_scenario
-from hgdosim.sim import run_scenario
+from hgdosim.sim import Diverged, run_scenario
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -77,6 +80,16 @@ GOLDEN = {
     "lemniscate_composite-3s": "0395d1a901e31ef27445d9b1d0d9649630f4fffbed06ad5380788b4e21794b25",
     "noise_study-hgdo-p0-3s": "5ddb8b83a6a27a0c0a25cffdb5769871ecbab29ce1c7e33bccbe2b1a86cb9436",
     "noise_study-naive-3s": "721d115969a84c58b023b1163bf909c76b22c9f4d16396ce1115a2f69cd84bf3",
+}
+
+# (seed, observer, noise power) -> (message, rows, SHA-256 of the partial trace)
+DIVERGED = {
+    (25, "hgdo", 0.1): ("position left the envelope at t=9.906", 4953,
+                        "17c643b380eb47cce79ea4cad0654276ef1a2ef968535c490df8d903dddf240f"),
+    (33, "hgdo", 0.01): ("position left the envelope at t=8.368", 4184,
+                         "23e05ab96e403ded0f8650d92174c694be7bfc4c8beba270703cb29637779c0c"),
+    (56, "naive", 0.1): ("position left the envelope at t=9.402", 4701,
+                         "7526092923f4b143e87ee28bac7462530a718e79f75462d82e74692ac10dfbd4"),
 }
 
 
@@ -125,6 +138,15 @@ def test_libm_fingerprint():
     assert not differ, f"libm results differ from the recording platform: {differ}"
 
 
+def _fail_changed(case):
+    fp = libm_fingerprint()
+    differ = sorted(k for k in LIBM if fp[k] != LIBM[k])
+    pytest.fail(f"trace hash of {case} changed; " + (
+        f"libm differs from the recording platform in {differ}, so the "
+        "pinned hashes do not hold here" if differ else
+        "libm matches the recording platform, so the program changed"))
+
+
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_trace_hash_unchanged(case):
     name, fields = CASES[case]
@@ -133,9 +155,18 @@ def test_trace_hash_unchanged(case):
     trace = run_scenario(cfg)
     assert len(trace) == round(cfg.duration / cfg.dt) + 1
     if hashlib.sha256(trace.data.tobytes()).hexdigest() != GOLDEN[case]:
-        fp = libm_fingerprint()
-        differ = sorted(k for k in LIBM if fp[k] != LIBM[k])
-        pytest.fail(f"trace hash of {case} changed; " + (
-            f"libm differs from the recording platform in {differ}, so the "
-            "pinned hashes do not hold here" if differ else
-            "libm matches the recording platform, so the program changed"))
+        _fail_changed(case)
+
+
+@pytest.mark.parametrize("case", sorted(DIVERGED), ids=lambda c: "noise_study-%d-%s-%g" % c)
+def test_diverged_trace_hash_unchanged(case):
+    seed, observer, power = case
+    message, rows, digest = DIVERGED[case]
+    cfg = dataclasses.replace(load_scenario(SCENARIO_DIR / "noise_study.json"),
+                              seed=seed, observer=observer, noise_power=power)
+    with pytest.raises(Diverged) as info:
+        run_scenario(cfg)
+    trace = info.value.trace
+    if (str(info.value), len(trace)) != (message, rows) or \
+            hashlib.sha256(trace.data.tobytes()).hexdigest() != digest:
+        _fail_changed(case)

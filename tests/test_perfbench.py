@@ -52,6 +52,22 @@ def test_noise_compare_at_another_seed(perfbench, monkeypatch, tmp_path):
     assert [(f["op"], f["error"]) for f in wl.failures] == [("noise:hgdo:0.1", "Diverged")]
 
 
+@pytest.mark.parametrize("name, seed, per_pass", [
+    ("noise_compare", 25, [("noise:hgdo:0.1", "Diverged")]),
+    ("eps_sweep", 0, []),
+])
+def test_second_pass_fails_as_the_first(perfbench, monkeypatch, tmp_path, name, seed,
+                                        per_pass):
+    # the benchmark reuses one Workload, its configs included, for every pass
+    # and checks each pass's hashes against the first: state a run left on a
+    # config, its gains or its trajectory shows up only from the second pass
+    wl = workload(perfbench[0], monkeypatch, tmp_path, name, seed)
+    wl.prepare()
+    for passes in (1, 2):
+        wl.run_pass()
+        assert [(f["op"], f["error"]) for f in wl.failures] == per_pass * passes
+
+
 def test_traced_pass(perfbench, monkeypatch, tmp_path):
     bench = perfbench[0]
     wl = workload(bench, monkeypatch, tmp_path, "noise_compare", bench.DEFAULT_SEED)

@@ -146,7 +146,7 @@ class TestRotorMaps:
             )
             s = allocate_rotors(cmd, p)
             assert not s.saturated
-            back = rotor_wrench(s, p)
+            back = rotor_wrench(s.omega, p)
             assert_allclose(back.thrust, cmd.thrust, rtol=1e-9)
             assert_allclose(back.torque, cmd.torque, rtol=1e-9, atol=1e-15)
 
@@ -242,7 +242,8 @@ def _wrench_array_oracle(omega, p):
 
 
 class TestScalarFormsMatchArrayForms:
-    """The float-tuple rotor maps give the same bits as the array formulas."""
+    """The float rotor maps, fed floats as the tick feeds them, give the same
+    bits as the array formulas, in the NamedTuple results the tick unpacks."""
 
     def test_allocate_rotors(self, awkward):
         rng = np.random.default_rng(41)
@@ -253,13 +254,16 @@ class TestScalarFormsMatchArrayForms:
             else:  # near hover, where most of the engine's calls land
                 thrust = rng.uniform(0.0, 0.6)
                 torque = rng.normal(scale=[3e-3, 3e-3, 1e-3])
-            w = WrenchCommand(float(thrust), tuple(torque))
+            w = WrenchCommand(float(thrust), tuple(np.asarray(torque).tolist()))
             with np.errstate(all="ignore"):
                 want, want_sat = _allocate_array_oracle(w, p)
             got = allocate_rotors(w, p)
+            assert type(got) is RotorSpeeds and got == (got.omega, got.saturated)
             assert type(got.omega) is tuple and all(type(v) is float for v in got.omega)
             assert np.array(got.omega).tobytes() == want.tobytes()
             assert got.saturated == want_sat
+            # a plain (thrust, torque) pair, as the tick passes it
+            assert np.array(allocate_rotors(tuple(w), p).omega).tobytes() == want.tobytes()
 
     def test_rotor_wrench(self, awkward):
         rng = np.random.default_rng(43)
@@ -267,14 +271,16 @@ class TestScalarFormsMatchArrayForms:
         for i in range(4000):
             # many in-range speeds, so a square taken as x * x shows up too
             omega = awkward(rng, 4) if i % 4 == 0 else rng.uniform(0.0, p.omega_max, 4)
+            omega = tuple(omega.tolist())
             try:
                 with np.errstate(all="ignore"):
                     thrust, torque = _wrench_array_oracle(omega, p)
             except OverflowError:
                 with pytest.raises(OverflowError):
-                    rotor_wrench(tuple(omega), p)
+                    rotor_wrench(omega, p)
                 continue
-            got = rotor_wrench(tuple(omega), p)
+            got = rotor_wrench(omega, p)
+            assert type(got) is WrenchCommand and got == (got.thrust, got.torque)
             assert type(got.thrust) is float
             assert type(got.torque) is tuple and all(type(v) is float for v in got.torque)
             assert np.array([got.thrust, *got.torque]).tobytes() == \

@@ -32,6 +32,7 @@ from hgdosim.sim import (
     SimTrace,
     build_stepper,
     build_tick,
+    derive_columns,
     differentiators,
     held_table,
     pregrid,
@@ -502,8 +503,8 @@ class TestSetup:
 
 
 class TestTick:
-    """One call of the per-step tick on a hand-built state gives the row the
-    run records."""
+    """One call of the per-step tick on a hand-built state, then the derive
+    pass over the rows written, gives the row the run records."""
 
     @pytest.mark.parametrize("observer", ["hgdo", "naive", "none"])
     # the ground effect reaches up to z_ref = 1 m, above the 0.5 m start
@@ -526,6 +527,7 @@ class TestTick:
              + hgdo_init(cfg.rate0, cfg.epsilon2, cfg.d_hat0_torque))
         H = [0.0] * 4 + held[0].tolist()
         state = tick(0, 0.0, y, H, rows, 0, 0, state)
+        derive_columns(data[:1], DEFAULT_GAINS)
         assert data[0].tobytes() == tr.data[0].tobytes()
         assert H[0] == tr.col("thrust")[0] / MICRO_QUAD.m
         # row 1, without it; the trace does not hold the hgdo gamma states
@@ -533,6 +535,7 @@ class TestTick:
             y = tuple(tr.data[1, 1:13].tolist()) + (0.0,) * 6
             H[4:16] = held[1].tolist()
             tick(1, 1 * cfg.dt, y, H, rows, 2 * n_sub, 0, state)
+            derive_columns(data[1:], DEFAULT_GAINS)
             assert data[1].tobytes() == tr.data[1].tobytes()
 
 
